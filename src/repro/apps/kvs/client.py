@@ -25,6 +25,7 @@ from repro.rpc.idl import load_idl
 from repro.sim import Exponential, LatencyRecorder, Simulator, Zipfian
 from repro.sim.distributions import make_rng
 from repro.stacks import DaggerStack, connect, make_stack
+from repro.workloads.driver import LoadDriver, poisson_schedule
 
 _KVS_IDL_TEMPLATE = """
 Message GetRequest {{
@@ -187,6 +188,38 @@ def generate_ops(nreq: int, num_keys: int, get_fraction: float,
     return ops
 
 
+def drive_ops(sim: Simulator, clients: List[KvsClient],
+              ops: List[Tuple[str, int]], recorder: LatencyRecorder,
+              window: Optional[int] = None, interarrival=None) -> None:
+    """Issue ``ops`` round-robin over ``clients`` and run to completion.
+
+    Closed loop with ``window`` requests in flight per client when given,
+    else open loop at Poisson ``interarrival`` gaps shared by the clients.
+    Latency runs from the issue (closed) or intended arrival (open) time.
+    """
+    driver = LoadDriver(sim, len(ops),
+                        [client.rpc_client for client in clients])
+
+    def issue(request, intended):
+        client, op, index = request
+
+        def on_response(_msg):
+            recorder.record(intended, sim.now)
+            driver.complete()
+
+        send = client.get_async if op == "get" else client.set_async
+        return send(index, on_response=on_response)
+
+    for i, client in enumerate(clients):
+        lane = [(client, op, index) for op, index in ops[i::len(clients)]]
+        if window is not None:
+            driver.closed_lane(client.rpc_client, window, lane, issue)
+        else:
+            driver.open_lane(
+                poisson_schedule(interarrival, lane, sim.now), issue)
+    driver.run()
+
+
 def run_kvs_workload(
     system: str = "mica",  # "mica" | "memcached"
     stack_name: str = "dagger",
@@ -295,58 +328,9 @@ def run_kvs_workload(
         load_mrps = num_threads * load_factor * 1000.0 / mean_cost
 
     recorder = LatencyRecorder(warmup_ns=warmup_ns)
-    done = sim.event()
-    state = {"completed": 0, "expected": 0}
-    interarrival = Exponential(mean=1000.0 / load_mrps * len(clients),
-                               rng=seed + 1)
-
-    def drive(client: KvsClient, trace: List[Tuple[str, int]]):
-        next_arrival = sim.now
-        for op, index in trace:
-            if closed_loop_window is not None:
-                while client.rpc_client.outstanding >= closed_loop_window:
-                    yield sim.timeout(100)
-                arrival = sim.now
-            else:
-                next_arrival += interarrival.sample_ns()
-                if next_arrival > sim.now:
-                    yield sim.timeout(next_arrival - sim.now)
-                arrival = next_arrival
-
-            def on_response(_msg, arrival=arrival):
-                recorder.record(arrival, sim.now)
-                state["completed"] += 1
-                if (state["completed"] >= state["expected"]
-                        and not done.triggered):
-                    done.succeed()
-
-            if op == "get":
-                yield from client.get_async(index, on_response=on_response)
-            else:
-                yield from client.set_async(index, on_response=on_response)
-
-    shards = [ops[i::len(clients)] for i in range(len(clients))]
-    # Drops mean some responses never arrive; completion target excludes
-    # an allowance discovered at drain time instead: wait for issued-drops.
-    state["expected"] = len(ops)
-    for client, shard in zip(clients, shards):
-        sim.spawn(drive(client, shard))
-
-    def waiter():
-        # Finish when all responses arrived, or when the system drains with
-        # drops (done may then never fire by count).
-        yield done
-
-    handle = sim.spawn(waiter())
-    # Run; if drops occurred, the count never reaches expected, so run the
-    # heap dry and use whatever completed.
-    from repro.sim import SimulationError
-
-    try:
-        sim.run_until_done(handle)
-    except SimulationError:
-        pass
-    sim.run()
+    drive_ops(sim, clients, ops, recorder, window=closed_loop_window,
+              interarrival=Exponential(mean=1000.0 / load_mrps * len(clients),
+                                       rng=seed + 1))
 
     dropped = client_stack.drops + server_stack.drops
     total = recorder.count + recorder.discarded

@@ -10,18 +10,25 @@ plus per-tier traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.apps.microservices.tier import MethodSpec, Microservice, TierSpec
+from repro.apps.microservices.tier import (
+    MethodSpec,
+    Microservice,
+    TierSpec,
+    resolve_mix,
+)
 from repro.apps.microservices.tracing import Tracer
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import Machine, MachineConfig
 from repro.hw.switch import ToRSwitch
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
-from repro.sim import Exponential, LatencyRecorder, Simulator, SimulationError
+from repro.sim import Exponential, LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
 from repro.stacks import DaggerStack, connect, make_stack
+from repro.workloads.driver import LoadDriver, poisson_schedule, split_quota
 
 
 class ThreadAllocator:
@@ -222,24 +229,10 @@ class ServiceGraph:
             self.build()
         if load_krps <= 0:
             raise ValueError(f"load must be positive, got {load_krps}")
-        # Resolve mix keys to (tier, method) pairs.
-        entries: Dict[str, Tuple[str, str]] = {}
-        for key in method_mix:
-            if "." in key:
-                tier_name, method = key.split(".", 1)
-            else:
-                if entry_tier is None:
-                    raise ValueError(
-                        f"mix key {key!r} has no tier and no entry_tier given"
-                    )
-                tier_name, method = entry_tier, key
-            if tier_name not in self.tiers:
-                raise ValueError(f"unknown entry tier {tier_name!r}")
-            if method not in self.tiers[tier_name].spec.methods:
-                raise ValueError(
-                    f"entry tier {tier_name} has no method {method!r}"
-                )
-            entries[key] = (tier_name, method)
+        entries = resolve_mix(
+            method_mix, entry_tier,
+            {name: ms.spec for name, ms in self.tiers.items()},
+        )
         entry_tiers = sorted({tier for tier, _ in entries.values()})
 
         sim = self.sim
@@ -280,8 +273,9 @@ class ServiceGraph:
         if total_weight <= 0:
             raise ValueError("method mix weights must sum to > 0")
         recorder = LatencyRecorder(warmup_ns=warmup_ns)
-        done = sim.event()
-        state = {"completed": 0, "expected": nreq // len(clients) * len(clients)}
+        driver = LoadDriver(sim, nreq, [
+            client for per_tier in clients for client in per_tier.values()
+        ])
         interarrival = Exponential(
             mean=1e6 / load_krps * len(clients), rng=seed + 1
         )
@@ -291,43 +285,28 @@ class ServiceGraph:
                 return entry_payload_bytes.get(method, 64)
             return entry_payload_bytes
 
-        def driver(per_tier: Dict[str, RpcClient], count: int):
-            next_arrival = sim.now
-            for _ in range(count):
-                next_arrival += interarrival.sample_ns()
-                if next_arrival > sim.now:
-                    yield sim.timeout(next_arrival - sim.now)
-                # Past saturation the generator falls behind its schedule;
-                # measuring from issue time (as the paper's generator does)
-                # keeps the median meaningful while the tail soars (Fig 15).
-                arrival = sim.now if measure_from_issue else next_arrival
-                mix_key = rng.choices(methods, weights=weights)[0]
-                tier_name, method = entries[mix_key]
+        def issue(per_tier: Dict[str, RpcClient], intended: int):
+            # Past saturation the generator falls behind its schedule;
+            # measuring from issue time (as the paper's generator does)
+            # keeps the median meaningful while the tail soars (Fig 15).
+            arrival = sim.now if measure_from_issue else intended
+            mix_key = rng.choices(methods, weights=weights)[0]
+            tier_name, method = entries[mix_key]
 
-                def on_complete(call, arrival=arrival):
-                    recorder.record(arrival, call.completed_at)
-                    self.tracer.record_e2e(call.completed_at - arrival)
-                    state["completed"] += 1
-                    if (state["completed"] >= state["expected"]
-                            and not done.triggered):
-                        done.succeed()
+            def on_complete(call):
+                recorder.record(arrival, call.completed_at)
+                self.tracer.record_e2e(call.completed_at - arrival)
+                driver.complete()
 
-                yield from per_tier[tier_name].call_async(
-                    method, b"", payload_size(mix_key), callback=on_complete
-                )
+            return per_tier[tier_name].call_async(
+                method, b"", payload_size(mix_key), callback=on_complete
+            )
 
-        for per_tier in clients:
-            sim.spawn(driver(per_tier, nreq // len(clients)))
-
-        def waiter():
-            yield done
-
-        handle = sim.spawn(waiter())
-        try:
-            sim.run_until_done(handle)
-        except SimulationError:
-            pass  # drops: drain and report what completed
-        self.sim.run()
+        for per_tier, quota in zip(clients,
+                                   split_quota(nreq, len(clients))):
+            driver.open_lane(poisson_schedule(
+                interarrival, repeat(per_tier, quota), sim.now), issue)
+        driver.run()
 
         drops = self.drops + loadgen_stack.drops
         total = recorder.count + recorder.discarded

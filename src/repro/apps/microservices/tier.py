@@ -11,7 +11,7 @@ the paper's threading model, Fig 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.sim.distributions import Constant, Distribution
@@ -97,6 +97,34 @@ class TierSpec:
                     if call.target not in targets:
                         targets.append(call.target)
         return targets
+
+
+def resolve_mix(keys, entry_tier: Optional[str],
+                specs: Dict[str, TierSpec]) -> Dict[str, Tuple[str, str]]:
+    """Map each request-mix key to the ``(tier, method)`` it calls.
+
+    A key names a method on ``entry_tier``, or is a ``"tier.method"`` pair
+    to spread load over several entry tiers (Flight drives both of its
+    front-ends at once). ``specs`` maps the deployed tier names to specs.
+    """
+    entries: Dict[str, Tuple[str, str]] = {}
+    for key in keys:
+        if "." in key:
+            tier_name, method = key.split(".", 1)
+        else:
+            if entry_tier is None:
+                raise ValueError(
+                    f"mix key {key!r} has no tier and no entry_tier given"
+                )
+            tier_name, method = entry_tier, key
+        if tier_name not in specs:
+            raise ValueError(f"unknown entry tier {tier_name!r}")
+        if method not in specs[tier_name].methods:
+            raise ValueError(
+                f"entry tier {tier_name} has no method {method!r}"
+            )
+        entries[key] = (tier_name, method)
+    return entries
 
 
 class Microservice:

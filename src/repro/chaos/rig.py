@@ -15,11 +15,13 @@ remaining calls and reports ``lost_rpcs`` instead of crashing.
 from __future__ import annotations
 
 from dataclasses import asdict
+from itertools import repeat
 from typing import Any, Dict, Optional
 
 from repro.chaos.faults import ChaosConfig
-from repro.sim import Exponential, SimulationError
+from repro.sim import Exponential
 from repro.sim.stats import _check_mode, percentile
+from repro.workloads.driver import LoadDriver, poisson_schedule
 
 #: Named fault schedules (config overrides merged with the run's seed).
 #: Rates are chosen to stress recovery hard while staying far from the
@@ -102,7 +104,7 @@ def run_chaos_point(
         raise ValueError(f"nreq must be >= 1, got {nreq}")
     if load_mrps <= 0:
         raise ValueError(f"load must be positive, got {load_mrps}")
-    from repro.harness.runner import EchoRig  # local: avoid import cycle
+    from repro.harness.runner import EchoRig, echo_issue  # avoid a cycle
 
     config = ChaosConfig.from_dict(
         dict(FAULT_CLASSES[fault_class], seed=seed)
@@ -121,56 +123,30 @@ def run_chaos_point(
     auditor.watch(rig.server_stack.nic)
 
     sim = rig.sim
-    client = rig.clients[0]
-    done = sim.event()
     sketch = None
+    latencies = []
     if mode == "sketch":
         from repro.obs.sketch import QuantileSketch
 
         sketch = QuantileSketch()
-    latencies = []
-    state = {"completed": 0}
+
+        def record(intended, completed_at):
+            sketch.add(completed_at - intended)
+    else:
+        def record(intended, completed_at):
+            latencies.append(completed_at - intended)
+
+    driver = LoadDriver(sim, nreq, rig.clients)
     # Distinct stream from the chaos RNG: fault decisions and arrivals must
     # not share draws, or changing the fault class would reshape the load.
     interarrival = Exponential(mean=1000.0 / load_mrps, rng=seed + 7919)
-
-    def issue():
-        next_arrival = sim.now
-        for _ in range(nreq):
-            gap = interarrival.sample_ns()
-            next_arrival += gap
-            if next_arrival > sim.now:
-                yield next_arrival - sim.now
-            arrival = next_arrival
-
-            def on_complete(call, arrival=arrival):
-                if sketch is not None:
-                    sketch.add(call.completed_at - arrival)
-                else:
-                    latencies.append(call.completed_at - arrival)
-                state["completed"] += 1
-                if state["completed"] >= nreq and not done.triggered:
-                    done.succeed()
-
-            yield from client.call_async(
-                "echo", b"x" * min(rpc_bytes, 8), rpc_bytes,
-                callback=on_complete,
-            )
-
-    sim.spawn(issue())
-
-    def waiter():
-        yield done
-
-    handle = sim.spawn(waiter())
-    try:
-        sim.run_until_done(handle)
-    except SimulationError:
-        # Some calls are genuinely unrecoverable (sender gave up after
-        # max_retries): fail them and drain whatever is still in flight.
-        for c in rig.clients:
-            c.fail_pending("abandoned under chaos")
-        sim.run()
+    driver.open_lane(
+        poisson_schedule(interarrival, repeat(rig.clients[0], nreq), sim.now),
+        echo_issue(rpc_bytes, record, driver),
+    )
+    # Calls the sender gave up on after max_retries never complete: the
+    # driver's stall policy fails them and drains what is still in flight.
+    driver.run(drain=False)
 
     if sketch is not None and sketch.count:
         p50_us = round(sketch.quantile(50) / 1000.0, 3)
@@ -192,8 +168,8 @@ def run_chaos_point(
         "nreq": nreq,
         "load_mrps": load_mrps,
         "hedge_ns": hedge_ns,
-        "completed": state["completed"],
-        "lost_rpcs": nreq - state["completed"],
+        "completed": driver.completed,
+        "lost_rpcs": nreq - driver.completed,
         "p50_us": p50_us,
         "p99_us": p99_us,
         "p999_us": p999_us,

@@ -19,7 +19,7 @@ from repro.harness.cluster import (
     cluster_signature,
     run_cluster_point,
 )
-from repro.harness.mesh import EchoMeshRig, MeshResult, run_echo_mesh
+from repro.harness.mesh import MeshResult, run_echo_mesh
 from repro.harness.runner import (
     BenchResult,
     EchoRig,
@@ -45,7 +45,6 @@ __all__ = [
     "cluster_signature",
     "run_cluster_point",
     "BenchResult",
-    "EchoMeshRig",
     "EchoRig",
     "MeshResult",
     "run_echo_mesh",

@@ -46,19 +46,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.apps.microservices.tier import MethodSpec, TierSpec, sample_size
+from repro.apps.microservices.tier import (
+    MethodSpec,
+    TierSpec,
+    resolve_mix,
+    sample_size,
+)
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cluster import Cluster
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import MachineConfig
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
-from repro.sim import LatencyRecorder, SimulationError, Simulator
+from repro.sim import LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
 from repro.sim.sharded import canonical_json
 from repro.sim.stats import _check_mode
 from repro.stacks import DaggerStack, connect
+from repro.workloads.driver import LoadDriver
 from repro.workloads.sessions import (
     MODULATIONS,
     SessionWorkload,
@@ -366,7 +373,6 @@ class ClusterRig:
         self._next_core = [0] * machines
         self._machine_cursor = 0
         self._ran = False
-        self._done = self.sim.event()
 
         deployments = deployments or {}
         names = set()
@@ -602,7 +608,7 @@ class ClusterRig:
 
     # -- autoscaling ------------------------------------------------------------
 
-    def _autoscale(self):
+    def _autoscale(self, done):
         cfg = self.autoscaler_config
         pools = self.pools
         now = self.sim.now
@@ -610,7 +616,7 @@ class ClusterRig:
                 for name, pool in pools.items()}
         windows = {name: deque(maxlen=cfg.down_window) for name in pools}
         cooldowns = {name: 0 for name in pools}
-        while not self._done.triggered:
+        while not done.triggered:
             yield cfg.interval_ns
             now = self.sim.now
             for name, pool in pools.items():
@@ -683,24 +689,10 @@ class ClusterRig:
         if deadline_us <= 0:
             raise ValueError(f"deadline must be positive, got {deadline_us}")
 
-        entries: Dict[str, Tuple[str, str]] = {}
-        for key in workload.methods:
-            if "." in key:
-                tier_name, method = key.split(".", 1)
-            else:
-                if entry_tier is None:
-                    raise ValueError(
-                        f"mix key {key!r} has no tier and no entry_tier "
-                        "given"
-                    )
-                tier_name, method = entry_tier, key
-            if tier_name not in self.pools:
-                raise ValueError(f"unknown entry tier {tier_name!r}")
-            if method not in self.pools[tier_name].spec.methods:
-                raise ValueError(
-                    f"entry tier {tier_name} has no method {method!r}"
-                )
-            entries[key] = (tier_name, method)
+        entries = resolve_mix(
+            workload.methods, entry_tier,
+            {name: pool.spec for name, pool in self.pools.items()},
+        )
         entry_tiers = sorted({tier for tier, _ in entries.values()})
 
         sim = self.sim
@@ -727,42 +719,35 @@ class ClusterRig:
 
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=mode)
         deadline_ns = int(deadline_us * 1000)
-        done = self._done
-        state = {"completed": 0, "slo_met": 0, "slo_total": 0,
-                 "drivers_done": 0}
+        driver = LoadDriver(sim, nreq, [
+            client for per_tier in clients
+            for client, _ in per_tier.values()
+        ])
+        slo = {"met": 0, "total": 0}
 
-        arrivals = workload.arrivals(nreq)
+        def issue(per_tier, arrival, intended):
+            tier_name, method = entries[arrival.method]
+            pool = self.pools[tier_name]
+            client, conn_ids = per_tier[tier_name]
+            target = self.balancer.pick(pool)
+            pool.note_issue(target)
+            done_cb = pool.make_done_callback(target)
 
-        def driver(per_tier):
-            for arrival in arrivals:
-                if arrival.t_ns > sim.now:
-                    yield sim.timeout(arrival.t_ns - sim.now)
-                tier_name, method = entries[arrival.method]
-                pool = self.pools[tier_name]
-                client, conn_ids = per_tier[tier_name]
-                target = self.balancer.pick(pool)
-                pool.note_issue(target)
-                done_cb = pool.make_done_callback(target)
+            def on_complete(call):
+                done_cb(call)
+                recorder.record(intended, call.completed_at)
+                if call.completed_at >= warmup_ns:
+                    slo["total"] += 1
+                    if call.completed_at - intended <= deadline_ns:
+                        slo["met"] += 1
+                driver.complete()
 
-                def on_complete(call, intended=arrival.t_ns,
-                                done_cb=done_cb):
-                    done_cb(call)
-                    recorder.record(intended, call.completed_at)
-                    if call.completed_at >= warmup_ns:
-                        state["slo_total"] += 1
-                        if call.completed_at - intended <= deadline_ns:
-                            state["slo_met"] += 1
-                    state["completed"] += 1
-                    if state["completed"] >= nreq and not done.triggered:
-                        done.succeed()
-
-                yield from client.call_async(
-                    method, b"", entry_payload_bytes,
-                    lb_key=arrival.key,
-                    connection_id=conn_ids[target],
-                    callback=on_complete,
-                )
-            state["drivers_done"] += 1
+            return client.call_async(
+                method, b"", entry_payload_bytes,
+                lb_key=arrival.key,
+                connection_id=conn_ids[target],
+                callback=on_complete,
+            )
 
         def watchdog():
             # Declares the run over when completions stall (dropped
@@ -773,38 +758,27 @@ class ClusterRig:
             interval = self.autoscaler_config.interval_ns
             idle_limit = max(1, idle_limit_ns // interval)
             last, idle = -1, 0
-            while not done.triggered:
+            while not driver.done.triggered:
                 yield interval
-                if state["completed"] == last:
+                if driver.completed == last:
                     idle += 1
                     if idle >= idle_limit:
-                        done.succeed()
+                        driver.done.succeed()
                         return
                 else:
-                    idle, last = 0, state["completed"]
+                    idle, last = 0, driver.completed
 
+        # Every lane draws its next arrival from the one shared trace.
+        schedule = ((arrival.t_ns, arrival)
+                    for arrival in workload.arrivals(nreq))
         for per_tier in clients:
-            sim.spawn(driver(per_tier))
+            driver.open_lane(schedule, partial(issue, per_tier))
         sim.spawn(watchdog())
         if self.autoscaler_config.enabled:
-            sim.spawn(self._autoscale())
+            sim.spawn(self._autoscale(driver.done))
         if self.collector is not None:
             self.collector.start()
-
-        def waiter():
-            yield done
-
-        handle = sim.spawn(waiter())
-        try:
-            sim.run_until_done(handle)
-        except SimulationError:
-            pass  # heap drained before the done event: everything lost
-        if not done.triggered:
-            done.succeed()
-        try:
-            sim.run()
-        except SimulationError:
-            pass
+        driver.run()
         if self.collector is not None:
             self.collector.stop()
 
@@ -823,7 +797,7 @@ class ClusterRig:
                                       stats.p99_us)
         else:
             mean_us = p50_us = p90_us = p99_us = 0.0
-        slo_total = state["slo_total"]
+        slo_total = slo["total"]
         tiers = {
             name: {
                 "initial": pool.deployment.initial,
@@ -849,17 +823,17 @@ class ClusterRig:
             seed=self.seed,
             count=recorder.count,
             discarded=recorder.discarded,
-            completed=state["completed"],
-            lost=nreq - state["completed"],
+            completed=driver.completed,
+            lost=nreq - driver.completed,
             drops=drops,
             throughput_krps=round(throughput_krps, 3),
             mean_us=round(mean_us, 3),
             p50_us=round(p50_us, 3),
             p90_us=round(p90_us, 3),
             p99_us=round(p99_us, 3),
-            slo_met=state["slo_met"],
+            slo_met=slo["met"],
             slo_total=slo_total,
-            slo_attainment=(round(state["slo_met"] / slo_total, 4)
+            slo_attainment=(round(slo["met"] / slo_total, 4)
                             if slo_total else 0.0),
             tiers=tiers,
             scaling_events=list(self.scaling_events),

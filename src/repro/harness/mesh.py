@@ -26,9 +26,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Union
 
-from repro.harness.runner import SERVER_CORE_BASE, _echo_handler
+from repro.harness.runner import (
+    SERVER_CORE_BASE,
+    _echo_handler,
+    _echo_payload,
+)
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import Machine, MachineConfig
@@ -38,6 +43,7 @@ from repro.sim import LatencyRecorder, Simulator, SummaryStats
 from repro.sim.sharded import EGRESS_NEVER, canonical_json, run_sharded
 from repro.sim.stats import _check_mode
 from repro.stacks import DaggerStack
+from repro.workloads.driver import LoadDriver, split_quota
 
 #: Base for deterministic cross-host connection ids: far above anything
 #: next_connection_id() hands out in-process, so explicit mesh ids can
@@ -156,16 +162,26 @@ class MeshHost:
 
         self.recorder = LatencyRecorder(name=f"h{host_id}",
                                         warmup_ns=warmup_ns, mode=mode)
-        self.completed = 0
         self.service_ns = service_ns
-        base, extra = divmod(nreq_per_host, len(peers))
-        self.quotas = [base + (1 if i < extra else 0)
-                       for i in range(len(peers))]
+        # No completion gate: the sharded engine runs every host to full
+        # drain, which is exactly when all lanes have issued their quota and
+        # every response has been polled.
+        self.driver = LoadDriver(self.sim)
+        self.quotas = split_quota(nreq_per_host, len(peers))
         self._issued = [0] * len(peers)
+        self._payload = _echo_payload(rpc_bytes)
+        recorder, driver = self.recorder, self.driver
+
+        def on_complete(call):
+            recorder.record(call.issued_at, call.completed_at)
+            driver.complete()
+
+        self._on_complete = on_complete
         for index, (client, quota) in enumerate(zip(self.clients,
                                                     self.quotas)):
             if quota:
-                self.sim.spawn(self._issue(index, client, quota))
+                self.driver.closed_lane(client, window, repeat(index, quota),
+                                        self._issue)
 
         # Adaptive-horizon support (repro.sim.sharded): the boundary tracks
         # per-address delivery counts, the delivery hook keeps per-client-
@@ -181,31 +197,15 @@ class MeshHost:
         if service_ns > 0:
             self.boundary.ingress_floors[_server_address(host_id)] = service_ns
 
-    def _issue(self, index: int, client: RpcClient, quota: int):
-        """Closed loop: keep ``window`` RPCs in flight until quota issued.
-
-        Self-terminating — no completion gate: the sharded engine runs every
-        host to full drain, which is exactly when all issue loops have
-        finished and every response has been polled.
-        """
-        recorder = self.recorder
-
-        def on_complete(call):
-            recorder.record(call.issued_at, call.completed_at)
-            self.completed += 1
-
-        issued = 0
-        while issued < quota:
-            while client.outstanding >= self.window:
-                yield 100
-            issued += 1
-            # Counted *before* submission: from here until the NIC puts the
-            # request on the wire, the host must report "egress imminent".
-            self._issued[index] = issued
-            yield from client.call_async(
-                "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                callback=on_complete,
-            )
+    def _issue(self, index: int, _intended: int):
+        """Closed-loop ``issue`` for the lane of ``self.clients[index]``."""
+        # Counted *before* submission: from here until the NIC puts the
+        # request on the wire, the host must report "egress imminent".
+        self._issued[index] += 1
+        return self.clients[index].call_async(
+            "echo", self._payload, self.rpc_bytes,
+            callback=self._on_complete,
+        )
 
     def _on_delivery(self, dst_address: str, packet: Any) -> None:
         """Boundary delivery hook: record per-flow request arrival times.
@@ -253,7 +253,8 @@ class MeshHost:
         if sum(sent.get(_server_address(r), 0)
                for r in peers) < sum(self._issued):
             return None  # request(s) still inside the client TX pipeline
-        if delivered.get(_client_address(self.host_id), 0) > self.completed:
+        if (delivered.get(_client_address(self.host_id), 0)
+                > self.driver.completed):
             return None  # response mid-RX: completion may free a slot now
         for index, client in enumerate(self.clients):
             if (self._issued[index] < self.quotas[index]
@@ -284,7 +285,7 @@ class MeshHost:
             "last_finish_ns": recorder.last_finish_ns,
             "discarded": recorder.discarded,
             "issued": sum(self.quotas),
-            "completed": self.completed,
+            "completed": self.driver.completed,
             "requests_handled": self.server.requests_handled,
             "drops": self.client_stack.drops + self.server_stack.drops,
             "packets_forwarded": self.boundary.packets_forwarded,
@@ -504,44 +505,3 @@ def run_echo_mesh(
         boundary_packets=sharded.boundary_packets,
         boundary_bytes=sharded.boundary_bytes,
     )
-
-
-class EchoMeshRig:
-    """Facade mirroring :class:`~repro.harness.runner.EchoRig`'s shape for
-    the multi-host mesh: construct with the topology, then call
-    :meth:`closed_loop` with the shard count.
-
-    Unlike ``EchoRig`` there is no live rig object to poke at afterwards —
-    the hosts are built inside the engine (possibly in worker processes)
-    and torn down when the run completes; only the result comes back.
-    """
-
-    def __init__(self, hosts: int = 4, batch_size: int = 4,
-                 rpc_bytes: int = 48, service_ns: int = 0,
-                 tor_delay_ns: Optional[int] = None, seed: int = 1,
-                 mode: str = "exact", window_mode: str = "adaptive"):
-        self.hosts = hosts
-        self.batch_size = batch_size
-        self.rpc_bytes = rpc_bytes
-        self.service_ns = service_ns
-        self.tor_delay_ns = tor_delay_ns
-        self.seed = seed
-        self.mode = _check_mode(mode)
-        self.window_mode = window_mode
-
-    def closed_loop(self, window: int = 64, nreq_per_host: int = 4000,
-                    warmup_ns: int = 20_000, shards: int = 1) -> MeshResult:
-        return run_echo_mesh(
-            hosts=self.hosts,
-            shards=shards,
-            nreq_per_host=nreq_per_host,
-            window=window,
-            batch_size=self.batch_size,
-            rpc_bytes=self.rpc_bytes,
-            service_ns=self.service_ns,
-            warmup_ns=warmup_ns,
-            tor_delay_ns=self.tor_delay_ns,
-            seed=self.seed,
-            mode=self.mode,
-            window_mode=self.window_mode,
-        )

@@ -16,6 +16,7 @@ loops:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, is_dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
@@ -40,6 +41,7 @@ from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.sim import Exponential, LatencyRecorder, Simulator
 from repro.sim.stats import _check_mode
 from repro.stacks import DaggerStack, connect, make_stack
+from repro.workloads.driver import LoadDriver, poisson_schedule, split_quota
 
 #: Core layout: clients fill the first half of the chip, servers the second.
 SERVER_CORE_BASE = 6
@@ -131,6 +133,29 @@ def _echo_handler(service_ns: int = 0, response_bytes: int = 48):
     return echo if service_ns > 0 else echo_fast
 
 
+def _echo_payload(rpc_bytes: int) -> bytes:
+    return b"x" * min(rpc_bytes, 8)
+
+
+def echo_issue(rpc_bytes: int, record, driver: LoadDriver):
+    """``issue`` for open-loop echo lanes whose items are the clients.
+
+    Each completion calls ``record(intended_ns, completed_ns)``, then
+    counts on ``driver``.
+    """
+    payload = _echo_payload(rpc_bytes)
+
+    def issue(client, intended):
+        def on_complete(call):
+            record(intended, call.completed_at)
+            driver.complete()
+
+        return client.call_async("echo", payload, rpc_bytes,
+                                 callback=on_complete)
+
+    return issue
+
+
 class EchoRig:
     """Client+server echo setup over a chosen stack, on one machine."""
 
@@ -155,18 +180,8 @@ class EchoRig:
         telemetry_interval_ns: int = DEFAULT_INTERVAL_NS,
         telemetry_adaptive: bool = False,
         chaos=None,
-        shards: int = 1,
         mode: str = "exact",
     ):
-        if shards != 1:
-            # A loopback rig has exactly one host, so there is no shard
-            # boundary to cut along; point callers at the topology that has
-            # one instead of silently ignoring the request.
-            raise ValueError(
-                "EchoRig is a single-machine rig and only supports "
-                "shards=1; for sharded execution use the multi-host mesh "
-                "(repro.harness.mesh.run_echo_mesh / EchoMeshRig)"
-            )
         # Latency-recording mode (ISSUE 8): "exact" keeps raw samples (the
         # signature-gated default); "sketch" streams them into O(1)-memory
         # quantile sketches so million-request runs don't grow a list.
@@ -302,9 +317,7 @@ class EchoRig:
         """
         if nreq < 1:
             raise ValueError(f"nreq must be >= 1, got {nreq}")
-        base, extra = divmod(nreq, len(self.clients))
-        return [base + (1 if i < extra else 0)
-                for i in range(len(self.clients))]
+        return split_quota(nreq, len(self.clients))
 
     def _traced_result(self, recorder: LatencyRecorder, warmup_ns: int,
                        offered_mrps: Optional[float] = None) -> BenchResult:
@@ -335,49 +348,26 @@ class EchoRig:
     def closed_loop(self, window: int = 64, nreq: int = 20000,
                     warmup_ns: int = 100_000) -> BenchResult:
         """Each client keeps ``window`` async RPCs in flight."""
-        recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
-        if self.timeline is not None:
-            self.timeline.start()
-        sim = self.sim
-        done = sim.event()
         quotas = self._client_quotas(nreq)
-        state = {"completed": 0, "target": nreq}
+        recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
+        driver = LoadDriver(self.sim, nreq, self.clients)
+        payload = _echo_payload(self.rpc_bytes)
 
+        # One callback for every call: a closure per call would live as long
+        # as the client's completion queue keeps the call.
         def on_complete(call):
             recorder.record(call.issued_at, call.completed_at)
-            state["completed"] += 1
-            if state["completed"] >= state["target"] and not done.triggered:
-                done.succeed()
+            driver.complete()
 
-        def issue(client, quota):
-            issued = 0
-            while issued < quota:
-                while client.outstanding >= window:
-                    yield 100
-                issued += 1
-                yield from client.call_async(
-                    "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                    callback=on_complete,
-                )
+        def issue(client, _intended):
+            return client.call_async("echo", payload, self.rpc_bytes,
+                                     callback=on_complete)
 
+        if self.timeline is not None:
+            self.timeline.start()
         for client, quota in zip(self.clients, quotas):
-            sim.spawn(issue(client, quota))
-
-        def waiter():
-            yield done
-
-        handle = sim.spawn(waiter())
-        from repro.sim import SimulationError
-
-        try:
-            sim.run_until_done(handle)
-        except SimulationError:
-            # Drops: some calls never complete. Drain and report what did.
-            # The issue loops stall once outstanding pins at the window, so
-            # fail the remaining calls to unblock and drain again.
-            for client in self.clients:
-                client.fail_pending("dropped by the fabric")
-        sim.run()
+            driver.closed_lane(client, window, repeat(client, quota), issue)
+        driver.run()
         if self.timeline is not None:
             self.timeline.stop()
         return self._traced_result(recorder, warmup_ns)
@@ -391,47 +381,19 @@ class EchoRig:
         """
         if load_mrps <= 0:
             raise ValueError(f"load must be positive, got {load_mrps}")
-        recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
-        if self.timeline is not None:
-            self.timeline.start()
-        sim = self.sim
-        done = sim.event()
         quotas = self._client_quotas(nreq)
-        state = {"completed": 0, "target": nreq}
+        recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
+        driver = LoadDriver(self.sim, nreq, self.clients)
+        issue = echo_issue(self.rpc_bytes, recorder.record, driver)
         interarrival = Exponential(
             mean=len(self.clients) * 1000.0 / load_mrps, rng=seed
         )
-
-        def issue(client, quota):
-            issued = 0
-            next_arrival = sim.now
-            while issued < quota:
-                gap = interarrival.sample_ns()
-                next_arrival += gap
-                if next_arrival > sim.now:
-                    yield next_arrival - sim.now
-                issued += 1
-                arrival = next_arrival
-
-                def on_complete(call, arrival=arrival):
-                    recorder.record(arrival, call.completed_at)
-                    state["completed"] += 1
-                    if (state["completed"] >= state["target"]
-                            and not done.triggered):
-                        done.succeed()
-
-                yield from client.call_async(
-                    "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                    callback=on_complete,
-                )
-
+        if self.timeline is not None:
+            self.timeline.start()
         for client, quota in zip(self.clients, quotas):
-            sim.spawn(issue(client, quota))
-
-        def waiter():
-            yield done
-
-        sim.run_until_done(sim.spawn(waiter()))
+            driver.open_lane(poisson_schedule(
+                interarrival, repeat(client, quota), self.sim.now), issue)
+        driver.run(drain=False)
         if self.timeline is not None:
             self.timeline.stop()
         return self._traced_result(recorder, warmup_ns,
@@ -725,50 +687,24 @@ class MultiTenantEchoRig:
             tenant: LatencyRecorder(warmup_ns=warmup_ns, mode=self.mode)
             for tenant in self.tenants
         }
+        driver = LoadDriver(self.sim, sum(quotas.values()),
+                            list(self.clients.values()))
         if self.timeline is not None:
             self.timeline.start()
-        sim = self.sim
-        done = sim.event()
-        state = {"completed": 0, "target": sum(quotas.values())}
-
-        def issue(client, quota, recorder, interarrival):
-            issued = 0
-            next_arrival = sim.now
-            while issued < quota:
-                gap = interarrival.sample_ns()
-                next_arrival += gap
-                if next_arrival > sim.now:
-                    yield next_arrival - sim.now
-                issued += 1
-                arrival = next_arrival
-
-                def on_complete(call, arrival=arrival):
-                    recorder.record(arrival, call.completed_at)
-                    state["completed"] += 1
-                    if (state["completed"] >= state["target"]
-                            and not done.triggered):
-                        done.succeed()
-
-                yield from client.call_async(
-                    "echo", b"x" * min(self.rpc_bytes, 8), self.rpc_bytes,
-                    callback=on_complete,
-                )
-
         for index, tenant in enumerate(self.tenants):
             interarrival = Exponential(
                 mean=1000.0 / loads_mrps[tenant], rng=seed + index
             )
-            sim.spawn(issue(self.clients[tenant], quotas[tenant],
-                            recorders[tenant], interarrival))
-
-        def waiter():
-            yield done
-
-        sim.run_until_done(sim.spawn(waiter()))
-        if self.timeline is not None:
-            self.timeline.stop()
+            client = self.clients[tenant]
+            driver.open_lane(
+                poisson_schedule(interarrival, repeat(client, quotas[tenant]),
+                                 self.sim.now),
+                echo_issue(self.rpc_bytes, recorders[tenant].record, driver),
+            )
+        driver.run(drain=False)
         util = tenant_map = timeline = None
         if self.timeline is not None:
+            self.timeline.stop()
             util = utilization_summary(self.timeline)
             tenant_map = utilization_tenants(self.timeline)
             timeline = self.timeline.to_dict()

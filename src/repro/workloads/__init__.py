@@ -6,6 +6,9 @@
   and YCSB-style mixes of section 5.6.
 - :mod:`repro.workloads.sessions` — session-based open-loop traffic for
   cluster-scale runs (Zipf-skewed sessions, bursty/diurnal modulation).
+- :mod:`repro.workloads.driver` — the load driver every rig shares:
+  closed- and open-loop issue lanes, the completion gate, and the stall
+  policy.
 """
 
 from repro.workloads.rpc_sizes import (
@@ -15,6 +18,7 @@ from repro.workloads.rpc_sizes import (
     request_size_cdf,
     sample_sizes,
 )
+from repro.workloads.driver import LoadDriver, poisson_schedule, split_quota
 from repro.workloads.kv_datasets import DATASETS, KvDataset, WORKLOAD_MIXES
 from repro.workloads.sessions import (
     BurstModulation,
@@ -28,6 +32,9 @@ from repro.workloads.sessions import (
 )
 
 __all__ = [
+    "LoadDriver",
+    "poisson_schedule",
+    "split_quota",
     "BurstModulation",
     "DiurnalModulation",
     "MODULATIONS",

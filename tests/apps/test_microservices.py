@@ -175,6 +175,14 @@ def test_run_load_rejects_nonpositive_load():
         graph.run_load("frontend", {"serve": 1.0}, load_krps=0, nreq=10)
 
 
+def test_run_load_issues_every_request_for_odd_nreq():
+    # Two load threads used to issue nreq // 2 each, losing the remainder.
+    graph = two_tier_graph()
+    result = graph.run_load("frontend", {"serve": 1.0}, load_krps=20,
+                            nreq=21, warmup_ns=0)
+    assert result.count == 21
+
+
 def test_client_for_unknown_target():
     graph = two_tier_graph()
     graph.build()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.harness import EchoRig
 from repro.harness.experiments import mesh_scaling
 from repro.harness.mesh import (
     MeshResult,
@@ -144,11 +143,6 @@ def test_jobs_and_shards_compose():
     signatures = {mesh_signature(result)
                   for result in serial_jobs + parallel_jobs}
     assert len(signatures) == 1
-
-
-def test_echo_rig_rejects_sharding():
-    with pytest.raises(ValueError, match="single-machine"):
-        EchoRig(shards=2)
 
 
 def test_mesh_scaling_reports_parity():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness import (
     EchoRig,
+    MultiTenantEchoRig,
     run_closed_loop,
     run_open_loop,
     run_raw_reads,
@@ -35,6 +36,25 @@ def test_open_loop_latency_low_at_low_load():
 def test_open_loop_validates_load():
     with pytest.raises(ValueError):
         run_open_loop(load_mrps=0)
+
+
+def test_open_loop_reports_drops_instead_of_raising():
+    # A 4-entry RX ring in front of a 2 us handler drops most requests;
+    # the dropped calls never complete, so the event heap drains before
+    # the completion gate and the run must report them, not deadlock.
+    rig = EchoRig(batch_size=1, rx_ring_entries=4, server_service_ns=2000)
+    result = rig.open_loop(2.0, nreq=1000, warmup_ns=0)
+    assert (result.count, result.drops) == (237, 763)
+    assert all(client.outstanding == 0 for client in rig.clients)
+
+
+def test_multi_tenant_open_loop_reports_drops_instead_of_raising():
+    rig = MultiTenantEchoRig(rx_ring_entries=2, batch_size=4)
+    result = rig.open_loop({"t0": 20.0, "t1": 0.5, "t2": 0.5},
+                           nreq_total=3000)
+    assert rig.drops == 998
+    assert result.per_tenant["t0"].drops == 998
+    assert result.per_tenant["t1"].drops == 0
 
 
 def test_thread_scaling_two_threads():
