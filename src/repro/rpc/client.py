@@ -3,9 +3,10 @@
 Mirrors the paper's API (section 4.2): an ``RpcClientPool`` encapsulates a
 pool of ``RpcClient`` objects that call remote procedures concurrently;
 each client owns (a share of) one NIC flow and its RX/TX ring pair, and an
-associated ``CompletionQueue`` accumulating completed requests. Both
-asynchronous (non-blocking) and synchronous (blocking) calls are supported,
-and the completion queue can invoke continuation callbacks on responses.
+associated ``CompletionQueue`` that hands each completed call to a waiting
+``pop()`` and counts every completion. Both asynchronous (non-blocking) and
+synchronous (blocking) calls are supported, and the completion queue can
+invoke continuation callbacks on responses.
 
 A *port* is the stack-provided endpoint object (see
 :class:`repro.stacks.base.StackPort`): it exposes ``send``/``rx_ring`` and
@@ -17,13 +18,13 @@ capacity — that is what makes single-core throughput come out right.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
 from repro.hw.cpu import SoftwareThread
 from repro.rpc.errors import RpcDroppedError, RpcError
 from repro.rpc.messages import RpcKind, RpcPacket
 from repro.sim.kernel import Event, Simulator
-from repro.sim.resources import Store
 
 
 class RpcCall:
@@ -64,20 +65,29 @@ class RpcCall:
 
 
 class CompletionQueue:
-    """Accumulates completed calls (section 4.2's CompletionQueue object)."""
+    """Hands each completed call to a waiting ``pop()``; counts every
+    completion (section 4.2's CompletionQueue object).
+
+    A call that completes while no ``pop()`` waits is counted in
+    ``completed_count`` and not kept: the caller already holds its
+    ``RpcCall``, and keeping it here would grow memory with every request.
+    """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.completed = Store(sim, name="completion-queue")
         self.completed_count = 0
+        self._waiters: Deque[Event] = deque()
 
     def push(self, call: RpcCall) -> None:
         self.completed_count += 1
-        self.completed.try_put(call)
+        if self._waiters:
+            self._waiters.popleft().succeed(call)
 
     def pop(self) -> Event:
-        """Event yielding the next completed RpcCall (blocking get)."""
-        return self.completed.get()
+        """Event yielding the next RpcCall to complete (blocking get)."""
+        event = Event(self.sim)
+        self._waiters.append(event)
+        return event
 
 
 class RpcClient:
