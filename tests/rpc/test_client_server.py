@@ -91,18 +91,52 @@ def test_call_latency_recorded():
     assert 1000 < call.latency_ns < 10_000  # ~2 us round trip
 
 
+def pop_one(queue):
+    completed = yield queue.pop()
+    return completed
+
+
 def test_completion_queue_accumulates():
     sim, _, client, *_ = make_rig()
+    queue = client.completion_queue
 
-    def main():
+    def caller():
         call = yield from client.call_async("echo", b"x", 48)
         yield call.event
-        completed = yield client.completion_queue.pop()
-        return completed
+        return call
 
-    completed = sim.run_until_done(sim.spawn(main()))
-    assert completed.done
-    assert client.completion_queue.completed_count == 1
+    # The consumer waits in pop() before the call completes: the queue
+    # hands each completed call to a waiting pop() and keeps none.
+    popped = sim.spawn(pop_one(queue))
+    issued = sim.spawn(caller())
+    sim.run_until_done(popped)
+    sim.run_until_done(issued)
+    assert popped.value is issued.value
+    assert popped.value.done
+    assert queue.completed_count == 1
+
+
+def test_completion_queue_keeps_no_call_nobody_pops():
+    sim, _, client, *_ = make_rig()
+    queue = client.completion_queue
+
+    def caller(n):
+        calls = []
+        for _ in range(n):
+            call = yield from client.call_async("echo", b"x", 48)
+            yield call.event
+            calls.append(call)
+        return calls
+
+    sim.run_until_done(sim.spawn(caller(100)))
+    assert queue.completed_count == 100
+    # The queue is empty: a pop made now gets the next call to complete,
+    # not one of the 100 that completed while nobody waited.
+    popped = sim.spawn(pop_one(queue))
+    [call] = sim.run_until_done(sim.spawn(caller(1)))
+    sim.run_until_done(popped)
+    assert popped.value is call
+    assert queue.completed_count == 101
 
 
 def test_unknown_method_raises_in_server():
