@@ -49,7 +49,8 @@ from repro.harness.runner import BenchResult
 #: 2: zero-yield try_* fast paths re-baselined equal-timestamp grant order.
 #: 3: canonical injection keys made per-host event order window-independent;
 #:    sharded results grew window-accounting fields (window_mode etc.).
-CACHE_VERSION = 3
+#: 4: the reliable transport NACKs wire gaps on arrival (chaos results).
+CACHE_VERSION = 4
 
 #: Repo-level default cache directory (benchmarks/results/cache/).
 DEFAULT_CACHE_DIR = os.path.join(

@@ -426,6 +426,8 @@ class DaggerNic:
         packet.stamp("nic_rx", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "nic_rx", self.sim.now)
+        if self.transport is not None:
+            self.transport.on_arrival(packet)
         self._ingress_queue.try_put(packet)
 
     def _ingress_unit(self) -> Generator:

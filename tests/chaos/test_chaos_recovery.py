@@ -11,7 +11,9 @@ NIC pair over a faulty switch:
 - **exact accounting**: delivered + unrecoverable == sent.
 
 Plus the measurement rig's own contract: ``run_chaos_point`` is
-bit-identical across two runs of the same seed.
+bit-identical across two runs of the same seed; and the fast-retransmit
+contract: a fault-free run sends no NACK and no retransmission, and a
+lossy run recovers in about one round trip instead of the RTO.
 """
 
 import json
@@ -21,6 +23,7 @@ import pytest
 
 from repro.chaos import ChaosConfig, ChaosInjector, WireFaults
 from repro.chaos.rig import run_chaos_point
+from repro.harness import EchoRig
 from repro.hw.calibration import DEFAULT_CALIBRATION
 from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
@@ -170,6 +173,43 @@ def test_run_chaos_point_recovers_under_loss():
     assert result["duplicate_host_deliveries"] == 0
     assert result["chaos"]["wire_losses"] > 0
     assert result["lost_rpcs"] <= 3  # bounded: at most 1%
+
+
+def useful_ratio(result):
+    """First transmissions over all transmissions, both NICs."""
+    stats = result["transport"].values()
+    data = sum(s["data_packets"] for s in stats)
+    return data / (data + sum(s["retransmissions"] for s in stats))
+
+
+def test_fault_free_chaos_point_sends_no_nack_or_retransmission():
+    result = run_chaos_point("none", nreq=800)
+    for stats in result["transport"].values():
+        assert stats["nacks_sent"] == 0
+        assert stats["retransmissions"] == 0
+
+
+def test_fault_free_two_thread_echo_sends_no_nack_or_retransmission():
+    """Two flows and batched delivery reorder one connection's packets
+    inside the NIC; a gap check at host delivery would NACK that."""
+    rig = EchoRig(batch_size=4, num_threads=2,
+                  hard_overrides={"reliable_transport": True,
+                                  "flow_control": True})
+    result = rig.open_loop(2.0, nreq=3000)
+    assert result.count > 0
+    for nic in (rig.client_stack.nic, rig.server_stack.nic):
+        assert nic.transport.stats.data_packets == 3000
+        assert nic.transport.stats.nacks_sent == 0
+        assert nic.transport.stats.retransmissions == 0
+
+
+def test_wire_loss_recovers_in_a_round_trip_not_the_rto():
+    result = run_chaos_point("loss", nreq=800)
+    assert result["chaos"]["wire_losses"] > 0
+    assert result["lost_rpcs"] == 0
+    assert result["duplicate_host_deliveries"] == 0
+    assert result["p99_us"] < 20.0  # the 50 us RTO would show here
+    assert useful_ratio(result) >= 0.9
 
 
 def test_run_chaos_point_validates_inputs():

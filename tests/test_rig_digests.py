@@ -136,7 +136,7 @@ DIGESTS = {
     multi_tenant:
         "fcda08d886f8715bd11d7e434a676c065896795aef5ce7f743eb4480f004fcb0",
     chaos_loss:
-        "6e08554c49f94d17c1c6dbac8c61241b67e0b92e6d096b4a5119f53243361e8e",
+        "751c42fc7363b9ef216d8e57b68b971b5b9a1331336f7f5f2ede29a243354b5b",
     mesh3:
         "182da9275995fea4e24fa431ec93692a58ea34bd714c6302f61d0b6506a2845d",
     cluster_steady:
