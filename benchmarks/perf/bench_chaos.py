@@ -10,7 +10,10 @@ gate:
 - **Recovery gate** — that same lossy run must complete with zero
   duplicate host deliveries (exactly-once at the host), bounded
   ``lost_unrecoverable``, and every issued RPC accounted for
-  (``completed + lost_rpcs == nreq``).
+  (``completed + lost_rpcs == nreq``). It must also re-send little more
+  than it loses: the useful ratio, first transmissions over all
+  transmissions on both NICs, stays at or above ``MIN_USEFUL_RATIO``
+  (go-back-N re-sends on the RTO read about 0.88).
 - **Baseline gate** — a telemetry-off, faults-off echo run must keep the
   committed ``BENCH_kernel.json`` signature bit-identical: the chaos
   layer and the transport hardening must cost the default path nothing.
@@ -37,6 +40,10 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 #: The gated schedule: i.i.d. wire loss, the acceptance criterion's
 #: "wire loss >= 1%" class (FAULT_CLASSES['loss'] is 2%).
 GATED_CLASS = "loss"
+#: Least share of first transmissions among all transmissions (both NICs)
+#: in the gated run: 2 % wire loss should cost a few per cent of re-sends,
+#: not the RTO's go-back-N burst of every unACKed packet.
+MIN_USEFUL_RATIO = 0.95
 
 
 def canonical(data) -> str:
@@ -78,10 +85,15 @@ def main(argv=None) -> int:
     # -- recovery gate -------------------------------------------------------
     injected = (first["chaos"]["wire_losses"]
                 + first["chaos"]["wire_burst_losses"])
+    stats = first["transport"].values()
+    data = sum(s["data_packets"] for s in stats)
+    resent = sum(s["retransmissions"] for s in stats)
+    useful = data / (data + resent)
     print(f"chaos[{GATED_CLASS}] seed={args.seed}: "
           f"{first['completed']}/{args.nreq} completed, "
           f"{injected} wire losses injected, "
-          f"p99 {first['p99_us']} us, p99.9 {first['p999_us']} us")
+          f"p99 {first['p99_us']} us, p99.9 {first['p999_us']} us, "
+          f"useful ratio {useful:.3f} ({resent} retransmissions)")
     if injected == 0:
         failures.append("the lossy schedule injected no wire losses")
     if first["duplicate_host_deliveries"] != 0:
@@ -103,6 +115,13 @@ def main(argv=None) -> int:
         failures.append(
             f"lost {first['lost_rpcs']} RPCs / {lost_unrecoverable} "
             f"unrecoverable packets (limit {max_lost:.0f})"
+        )
+
+    if useful < MIN_USEFUL_RATIO:
+        failures.append(
+            f"useful ratio {useful:.3f} < {MIN_USEFUL_RATIO}: "
+            f"{resent} retransmissions for {data} data packets re-send "
+            "more than the wire lost"
         )
 
     # -- baseline gate -------------------------------------------------------
