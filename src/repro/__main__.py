@@ -166,10 +166,11 @@ def _fig14_isolation(jobs=1, cache=True):
 def _chaos(jobs=1, cache=True):
     result = experiments.figx_chaos(jobs=jobs, cache=cache)
     return render_table(
-        ["fault class", "p50 us", "p99 us", "p99.9 us", "retx", "dup drop",
-         "lost", "recovered"],
+        ["fault class", "p50 us", "p99 us", "p99.9 us", "retx", "rto retx",
+         "dup drop", "lost", "recovered"],
         [(r["fault_class"], r["p50_us"], r["p99_us"], r["p999_us"],
-          r["retransmissions"], r["duplicates_dropped"], r["lost_rpcs"],
+          r["retransmissions"], r["timeout_retransmissions"],
+          r["duplicates_dropped"], r["lost_rpcs"],
           "yes" if r["recovered"] else "NO")
          for r in result["points"]],
         title=f"Seeded fault injection (seed {result['seed']}, "
