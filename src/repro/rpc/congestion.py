@@ -26,10 +26,11 @@ so a dropped grant must not deflate the window forever):
   reconciles its token bank to exactly ``initial + consumed - sent``;
 - the receiver flushes a sub-batch remainder after a quiet period, so a
   lost grant is re-covered by the next flush instead of never;
-- a sender stalled past ``grant_timeout_ns`` optimistically self-heals by
-  injecting one token (worst case the receiver ring overflows by one and
-  the reliable transport recovers the drop); the next cumulative grant
-  drains any over-injection back out.
+- a packet stalled for the full ``grant_timeout_ns`` optimistically
+  self-heals by injecting one token (worst case the receiver ring
+  overflows by one and the reliable transport recovers the drop); the next
+  cumulative grant drains any over-injection back out. A stall that ended
+  sooner is left alone, whatever else is parked when its timer expires.
 
 Retransmitted copies (``packet.seq`` already set) ride free: their credit
 was charged on first transmission and the receiver's dedup means they
@@ -136,17 +137,27 @@ class CreditFlowControl:
         tokens = self._tokens(conn)
         if tokens.try_get() is None:
             self.stats.stalls += 1
-            self._waiting[conn] = self._waiting.get(conn, 0) + 1
+            waiting = self._waiting.get(conn, 0)
             if self._sim is not None and self.grant_timeout_ns:
-                self._sim.spawn(self._stall_watchdog(conn, tokens))
+                # Parked acquirers take tokens in FIFO order, and only they
+                # charge ``_sent`` while any is parked: this stall ends when
+                # ``_sent`` passes its value now plus the acquirers ahead.
+                ends_after = self._sent.get(conn, 0) + waiting
+                self._sim.spawn(self._stall_watchdog(conn, tokens, ends_after))
+            self._waiting[conn] = waiting + 1
             yield tokens.get()
             self._waiting[conn] -= 1
         self._sent[conn] = self._sent.get(conn, 0) + 1
 
-    def _stall_watchdog(self, conn: int, tokens: Store):
-        """Self-heal a stall that outlives any plausible grant latency."""
+    def _stall_watchdog(self, conn: int, tokens: Store, ends_after: int):
+        """Self-heal a stall that outlives any plausible grant latency.
+
+        Repairs only the stall it was spawned for, and only if that stall
+        lasted the full ``grant_timeout_ns``; a later stall on the same
+        connection has its own watchdog.
+        """
         yield self.grant_timeout_ns
-        if self._waiting.get(conn, 0) == 0 or len(tokens) > 0:
+        if self._sent.get(conn, 0) > ends_after or len(tokens) > 0:
             return
         # The grant covering this window was presumably lost on the wire.
         # Inject one token optimistically: worst case the receiver ring

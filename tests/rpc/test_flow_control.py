@@ -4,18 +4,22 @@ With credits capped at the receiver's ring capacity, ring overflow becomes
 impossible: a slow consumer throttles the sender instead of causing drops.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hw.calibration import DEFAULT_CALIBRATION
+from repro.hw.cluster import Cluster
 from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.dagger_nic import DaggerNic
 from repro.hw.nic.resources import estimate_resources
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
-from repro.rpc.congestion import CreditFlowControl
+from repro.rpc.congestion import CREDIT_METHOD, CreditFlowControl
 from repro.rpc.messages import RpcKind, RpcPacket
 from repro.sim import Simulator
+from repro.stacks import DaggerStack, connect
 
 CAL = DEFAULT_CALIBRATION
 
@@ -148,3 +152,76 @@ def test_flow_control_costs_fpga_area():
 def test_available_credits_api():
     sim, a, _, _ = build_pair(credits=8)
     assert a.flow_control.available_credits(99) == 8  # fresh connection
+
+
+def test_incast_watchdog_repairs_only_stalls_that_outlive_the_timeout():
+    # 6-to-1 incast on 2 credits: senders stall constantly, but every stall
+    # ends within the grant timeout because no grant is lost. A watchdog
+    # that injects a token into whatever stall is current when its timer
+    # expires overfills the 16-entry ring and drops packets.
+    sim = Simulator()
+    cluster = Cluster(sim, 7)
+    hard = dict(num_flows=1, rx_ring_entries=16, flow_control=True,
+                flow_control_credits=2, credit_batch=2)
+
+    def stack(index, address):
+        return DaggerStack(cluster.machine(index), cluster.switch, address,
+                           hard=NicHardConfig(**hard),
+                           soft=NicSoftConfig(batch_size=4, auto_batch=True))
+
+    server = stack(0, "server")
+    drained = []
+
+    def drainer():
+        ring = server.nic.rx_ring(0)
+        while True:
+            drained.append((yield ring.get()))
+            yield sim.timeout(600)
+
+    sim.spawn(drainer())
+    clients = [stack(1 + index, f"c{index}") for index in range(6)]
+    for client in clients:
+        conn = connect(client, 0, server, 0)
+
+        def burst(nic=client.nic, conn=conn):
+            for _ in range(100):
+                packet = RpcPacket(RpcKind.REQUEST, conn, "put", b"", 48)
+                yield from nic.send_from_host(0, packet)
+
+        sim.spawn(burst())
+    sim.run()
+    stats = [client.nic.flow_control.stats for client in clients]
+    assert sum(s.stalls for s in stats) > 0
+    assert server.nic.monitor.drops == 0
+    assert len(drained) == 600
+    assert sum(s.credit_repairs for s in stats) == 0
+
+
+def test_watchdog_repairs_a_stall_parked_behind_another():
+    # Two packets of one connection park on an empty bank. A grant frees
+    # the first; the grant for the second is lost. Only the second stall
+    # lasts the full timeout, so exactly one token is injected, for it.
+    sim = Simulator()
+    nic = SimpleNamespace(sim=sim, address="a",
+                          enqueue_egress=lambda flow, packet: None)
+    engine = CreditFlowControl(nic, initial_credits=1, credit_batch=1,
+                               grant_timeout_ns=1000)
+    sent = []
+
+    def sender():
+        packet = RpcPacket(RpcKind.REQUEST, 1, "m", b"", 48)
+        if not engine.try_acquire(packet):
+            yield from engine.acquire(packet)
+        sent.append(sim.now)
+
+    def grant():
+        yield 100
+        engine.on_control(RpcPacket(RpcKind.CONTROL, 1, CREDIT_METHOD, 1, 16))
+
+    for _ in range(3):
+        sim.spawn(sender())
+    sim.spawn(grant())
+    sim.run()
+    assert sent == [0, 100, 1000]
+    assert engine.stats.stalls == 2
+    assert engine.stats.credit_repairs == 1
