@@ -19,11 +19,54 @@ of a from-scratch discrete-event simulator:
 - :mod:`repro.workloads` -- workload and dataset generators.
 - :mod:`repro.harness` -- experiment runners regenerating every table and
   figure of the paper's evaluation.
+
+Every package exports its public names lazily (:func:`lazy_exports`): a run
+imports only the modules it uses.
 """
+
+import sys
 
 __version__ = "1.0.0"
 
-from repro.sim.kernel import Simulator
-from repro.hw.platform import Machine, MachineConfig
 
-__all__ = ["Simulator", "MachineConfig", "Machine", "__version__"]
+def lazy_exports(package, exports, submodules=()):
+    """PEP 562 exports for ``package``: each name is imported on first use.
+
+    ``exports`` maps a submodule, relative to ``package``, to the public
+    names it defines; ``submodules`` are exported as modules. Returns
+    ``(__all__, __getattr__, __dir__)`` for the package's ``__init__``. The
+    first lookup of a name imports its submodule and binds the name in the
+    package, so later lookups never reach ``__getattr__``.
+    """
+    where = {name: f"{package}.{module}"
+             for module, names in exports.items() for name in names}
+    where.update((name, f"{package}.{name}") for name in submodules)
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        # __import__, unlike importlib.import_module, is what
+        # ``python -X importtime`` reports.
+        __import__(module)
+        value = sys.modules[module]
+        if name not in submodules:
+            value = getattr(value, name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | where.keys())
+
+    return list(where), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "sim.kernel": ("Simulator",),
+    "hw.platform": ("MachineConfig", "Machine"),
+})
+__all__.append("__version__")

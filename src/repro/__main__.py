@@ -36,7 +36,7 @@ import inspect
 import sys
 import time
 
-from repro.harness import experiments
+from repro import harness  # experiments import on first use
 from repro.harness.report import (
     render_bottleneck,
     render_slo_curve,
@@ -58,7 +58,7 @@ def _register(exp_id, description):
 @_register("table1", "Table 1: NIC implementation specs")
 def _table1(jobs=1, cache=True):
     del jobs, cache  # no sub-runs to fan out
-    rows = experiments.table1_resources()
+    rows = harness.experiments.table1_resources()
     return render_table(
         ["parameter", "paper", "measured"],
         [(r["parameter"], r["paper"], r["measured"]) for r in rows],
@@ -67,7 +67,7 @@ def _table1(jobs=1, cache=True):
 
 @_register("table3", "Table 3: RTT + per-core Mrps across RPC platforms")
 def _table3(jobs=1, cache=True):
-    rows = experiments.table3_rpc_platforms(jobs=jobs, cache=cache)
+    rows = harness.experiments.table3_rpc_platforms(jobs=jobs, cache=cache)
     return render_table(
         ["stack", "paper RTT us", "RTT us", "paper Mrps", "Mrps"],
         [(r["stack"], r["paper_rtt_us"], r["rtt_us"],
@@ -77,7 +77,7 @@ def _table3(jobs=1, cache=True):
 
 @_register("table4", "Table 4: Flight Registration threading models")
 def _table4(jobs=1, cache=True):
-    rows = experiments.table4_flight(jobs=jobs, cache=cache)
+    rows = harness.experiments.table4_flight(jobs=jobs, cache=cache)
     return render_table(
         ["model", "paper Krps", "Krps", "paper p50", "p50 us"],
         [(r["model"], r["paper_max_krps"], r["max_krps"],
@@ -87,7 +87,7 @@ def _table4(jobs=1, cache=True):
 
 @_register("fig3", "Fig 3: networking share of tier latency")
 def _fig3(jobs=1, cache=True):
-    rows = experiments.fig3_breakdown(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig3_breakdown(jobs=jobs, cache=cache)
     return render_table(
         ["load Krps", "tier", "p50 us", "network share"],
         [(r["load_krps"], r["tier"], r["p50_us"],
@@ -99,7 +99,7 @@ def _fig3(jobs=1, cache=True):
 @_register("fig4", "Fig 4: RPC size distributions")
 def _fig4(jobs=1, cache=True):
     del jobs, cache  # single in-process computation
-    result = experiments.fig4_rpc_sizes()
+    result = harness.experiments.fig4_rpc_sizes()
     rows = [(k, v) for k, v in result.items()
             if k not in ("per_tier_median_request", "paper")]
     rows += [(f"median request, {tier}", size)
@@ -109,7 +109,7 @@ def _fig4(jobs=1, cache=True):
 
 @_register("fig5", "Fig 5: networking/application CPU contention")
 def _fig5(jobs=1, cache=True):
-    rows = experiments.fig5_interference(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig5_interference(jobs=jobs, cache=cache)
     return render_table(
         ["load Krps", "cores", "p99 us"],
         [(r["load_krps"], "shared" if r["shared_cores"] else "separate",
@@ -119,7 +119,7 @@ def _fig5(jobs=1, cache=True):
 
 @_register("fig10", "Fig 10: CPU-NIC interface comparison")
 def _fig10(jobs=1, cache=True):
-    rows = experiments.fig10_interfaces(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig10_interfaces(jobs=jobs, cache=cache)
     return render_table(
         ["interface", "B", "paper Mrps", "Mrps", "p50 us", "p99 us"],
         [(r["interface"], r["batch"], r["paper_mrps"], r["mrps"],
@@ -129,7 +129,7 @@ def _fig10(jobs=1, cache=True):
 
 @_register("fig11-load", "Fig 11 (left): latency vs load")
 def _fig11_load(jobs=1, cache=True):
-    rows = experiments.fig11_latency_load(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig11_latency_load(jobs=jobs, cache=cache)
     return render_table(
         ["config", "offered Mrps", "p50 us", "p99 us"],
         [(r["config"], r["offered_mrps"], r["p50_us"], r["p99_us"])
@@ -140,14 +140,14 @@ def _fig11_load(jobs=1, cache=True):
 @_register("fig11-bottleneck",
            "Fig 11 (left): first-saturating component at the latency knee")
 def _fig11_bottleneck(jobs=1, cache=True):
-    result = experiments.fig11_bottleneck(jobs=jobs, cache=cache)
+    result = harness.experiments.fig11_bottleneck(jobs=jobs, cache=cache)
     return render_bottleneck(result["report"])
 
 
 @_register("fig14-isolation",
            "Fig 14: tenant isolation on a virtualized multi-NIC FPGA")
 def _fig14_isolation(jobs=1, cache=True):
-    result = experiments.fig14_isolation(jobs=jobs, cache=cache)
+    result = harness.experiments.fig14_isolation(jobs=jobs, cache=cache)
     lines = [render_bottleneck(result["report"])]
     lines.append(render_table(
         ["steady tenant", "p99 us (quiet)", "p99 us (noisy)", "drift",
@@ -164,7 +164,7 @@ def _fig14_isolation(jobs=1, cache=True):
 @_register("chaos",
            "Chaos: tail latency + recovery invariants per fault class")
 def _chaos(jobs=1, cache=True):
-    result = experiments.figx_chaos(jobs=jobs, cache=cache)
+    result = harness.experiments.figx_chaos(jobs=jobs, cache=cache)
     return render_table(
         ["fault class", "p50 us", "p99 us", "p99.9 us", "retx", "rto retx",
          "dup drop", "lost", "recovered"],
@@ -182,9 +182,9 @@ def _chaos(jobs=1, cache=True):
            "Sharded engine: multi-host echo mesh parity across shard counts")
 def _mesh(jobs=1, cache=True, shards=None, window_mode=None):
     shard_counts = None if shards is None else sorted({1, shards})
-    rows = experiments.mesh_scaling(shard_counts=shard_counts,
-                                    jobs=jobs, cache=cache,
-                                    window_mode=window_mode or "adaptive")
+    rows = harness.experiments.mesh_scaling(
+        shard_counts=shard_counts, jobs=jobs, cache=cache,
+        window_mode=window_mode or "adaptive")
     return render_table(
         ["shards", "mode", "Mrps", "p50 us", "p99 us", "windows",
          "stretched", "skipped", "events", "parity"],
@@ -204,8 +204,8 @@ def _mesh(jobs=1, cache=True, shards=None, window_mode=None):
            "with autoscaling")
 def _cluster(jobs=1, cache=True):
     deadline_us = 500.0
-    rows = experiments.cluster_slo(deadline_us=deadline_us, jobs=jobs,
-                                   cache=cache)
+    rows = harness.experiments.cluster_slo(deadline_us=deadline_us,
+                                           jobs=jobs, cache=cache)
     first = rows[0]
     return render_slo_curve(
         rows, deadline_us,
@@ -217,7 +217,7 @@ def _cluster(jobs=1, cache=True):
 
 @_register("fig11-scale", "Fig 11 (right): thread scalability")
 def _fig11_scale(jobs=1, cache=True):
-    rows = experiments.fig11_scalability(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig11_scalability(jobs=jobs, cache=cache)
     return render_table(
         ["threads", "e2e Mrps", "raw UPI Mrps"],
         [(r["threads"], r["e2e_mrps"], r["raw_mrps"]) for r in rows],
@@ -226,7 +226,7 @@ def _fig11_scale(jobs=1, cache=True):
 
 @_register("fig12", "Fig 12: memcached + MICA over Dagger")
 def _fig12(jobs=1, cache=True):
-    rows = experiments.fig12_kvs(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig12_kvs(jobs=jobs, cache=cache)
     return render_table(
         ["system", "dataset", "p50 us", "p99 us", "thr 50%", "thr 95%"],
         [(r["system"], r["dataset"], r["p50_us"], r["p99_us"],
@@ -236,7 +236,7 @@ def _fig12(jobs=1, cache=True):
 
 @_register("fig15", "Fig 15: Flight Registration latency/load curves")
 def _fig15(jobs=1, cache=True):
-    rows = experiments.fig15_flight_curves(jobs=jobs, cache=cache)
+    rows = harness.experiments.fig15_flight_curves(jobs=jobs, cache=cache)
     return render_table(
         ["load Krps", "thr Krps", "p50 us", "p99 us"],
         [(r["load_krps"], r["throughput_krps"], r["p50_us"], r["p99_us"])
@@ -247,7 +247,7 @@ def _fig15(jobs=1, cache=True):
 @_register("sec53", "Section 5.3: raw UPI vs PCIe access latency")
 def _sec53(jobs=1, cache=True):
     del jobs, cache  # two fixed-latency probes, not a sweep
-    result = experiments.sec53_raw_access()
+    result = harness.experiments.sec53_raw_access()
     return render_table(
         ["interconnect", "paper ns", "measured ns"],
         [("UPI", result["paper_upi_ns"], result["upi_ns"]),
@@ -355,7 +355,7 @@ def cmd_timeline(args) -> int:
         return _timeline_tenants(args)
 
     if args.report:
-        result = experiments.fig11_bottleneck(
+        result = harness.experiments.fig11_bottleneck(
             loads_mrps=args.loads, batch_size=args.batch, nreq=args.nreq,
             jobs=args.jobs, cache=not args.no_cache,
         )

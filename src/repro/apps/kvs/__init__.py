@@ -5,20 +5,12 @@ calibrated per-operation cost model attached, so correctness and timing are
 exercised by the same requests.
 """
 
-from repro.apps.kvs.hashtable import ChainedHashTable
-from repro.apps.kvs.memcached import MemcachedServer, MEMCACHED_COSTS
-from repro.apps.kvs.mica import MicaServer, MicaPartition, MICA_COSTS
-from repro.apps.kvs.client import KvsClient, KvsWorkloadResult, kvs_idl, run_kvs_workload
+from repro import lazy_exports
 
-__all__ = [
-    "ChainedHashTable",
-    "MemcachedServer",
-    "MEMCACHED_COSTS",
-    "MicaServer",
-    "MicaPartition",
-    "MICA_COSTS",
-    "KvsClient",
-    "KvsWorkloadResult",
-    "kvs_idl",
-    "run_kvs_workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "hashtable": ("ChainedHashTable",),
+    "memcached": ("MemcachedServer", "MEMCACHED_COSTS"),
+    "mica": ("MicaServer", "MicaPartition", "MICA_COSTS"),
+    "client": ("KvsClient", "KvsWorkloadResult", "kvs_idl",
+               "run_kvs_workload"),
+})

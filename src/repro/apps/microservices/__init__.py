@@ -13,17 +13,10 @@
   system of section 5.7, producing the Fig 3 latency breakdowns.
 """
 
-from repro.apps.microservices.tier import CallSpec, MethodSpec, Microservice, TierSpec
-from repro.apps.microservices.graph import GraphResult, ServiceGraph
-from repro.apps.microservices.tracing import Tracer, TierBreakdown
+from repro import lazy_exports
 
-__all__ = [
-    "CallSpec",
-    "MethodSpec",
-    "TierSpec",
-    "Microservice",
-    "ServiceGraph",
-    "GraphResult",
-    "Tracer",
-    "TierBreakdown",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "tier": ("CallSpec", "MethodSpec", "TierSpec", "Microservice"),
+    "graph": ("ServiceGraph", "GraphResult"),
+    "tracing": ("Tracer", "TierBreakdown"),
+})

@@ -11,23 +11,11 @@ See ``docs/robustness.md`` for the fault model and the determinism
 contract.
 """
 
-from repro.chaos.faults import (
-    CacheThrashFault,
-    ChaosConfig,
-    StragglerFault,
-    WireFaults,
-)
-from repro.chaos.injector import ChaosInjector, ChaosStats
-from repro.chaos.rig import FAULT_CLASSES, HostDeliveryAuditor, run_chaos_point
+from repro import lazy_exports
 
-__all__ = [
-    "CacheThrashFault",
-    "ChaosConfig",
-    "ChaosInjector",
-    "ChaosStats",
-    "FAULT_CLASSES",
-    "HostDeliveryAuditor",
-    "StragglerFault",
-    "WireFaults",
-    "run_chaos_point",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "faults": ("CacheThrashFault", "ChaosConfig", "StragglerFault",
+               "WireFaults"),
+    "injector": ("ChaosInjector", "ChaosStats"),
+    "rig": ("FAULT_CLASSES", "HostDeliveryAuditor", "run_chaos_point"),
+})

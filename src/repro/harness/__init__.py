@@ -8,53 +8,15 @@ cache); :mod:`repro.harness.report` renders the paper-style text tables the
 benchmarks print.
 """
 
-from repro.harness import experiments, report
-from repro.harness.cluster import (
-    AutoscalerConfig,
-    ClusterResult,
-    ClusterRig,
-    LB_POLICIES,
-    LoadBalancer,
-    TierDeployment,
-    cluster_signature,
-    run_cluster_point,
-)
-from repro.harness.mesh import MeshResult, run_echo_mesh
-from repro.harness.runner import (
-    BenchResult,
-    EchoRig,
-    MultiTenantEchoRig,
-    MultiTenantResult,
-    run_closed_loop,
-    run_multi_tenant,
-    run_open_loop,
-    run_raw_reads,
-    run_thread_scaling,
-)
-from repro.harness.sweep import SweepPoint, run_sweep
+from repro import lazy_exports
 
-__all__ = [
-    "experiments",
-    "report",
-    "AutoscalerConfig",
-    "ClusterResult",
-    "ClusterRig",
-    "LB_POLICIES",
-    "LoadBalancer",
-    "TierDeployment",
-    "cluster_signature",
-    "run_cluster_point",
-    "BenchResult",
-    "EchoRig",
-    "MeshResult",
-    "run_echo_mesh",
-    "MultiTenantEchoRig",
-    "MultiTenantResult",
-    "run_closed_loop",
-    "run_multi_tenant",
-    "run_open_loop",
-    "run_raw_reads",
-    "run_thread_scaling",
-    "SweepPoint",
-    "run_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cluster": ("AutoscalerConfig", "ClusterResult", "ClusterRig",
+                "LB_POLICIES", "LoadBalancer", "TierDeployment",
+                "cluster_signature", "run_cluster_point"),
+    "runner": ("BenchResult", "EchoRig", "MultiTenantEchoRig",
+               "MultiTenantResult", "run_closed_loop", "run_multi_tenant",
+               "run_open_loop", "run_raw_reads", "run_thread_scaling"),
+    "mesh": ("MeshResult", "run_echo_mesh"),
+    "sweep": ("SweepPoint", "run_sweep"),
+}, submodules=("experiments", "report"))

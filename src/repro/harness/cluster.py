@@ -62,8 +62,7 @@ from repro.hw.platform import MachineConfig
 from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.sim import LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
-from repro.sim.sharded import canonical_json
-from repro.sim.stats import _check_mode
+from repro.sim.stats import _check_mode, canonical_json
 from repro.stacks import DaggerStack, connect
 from repro.workloads.driver import LoadDriver
 from repro.workloads.sessions import (

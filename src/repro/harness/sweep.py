@@ -40,7 +40,6 @@ import importlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.harness.runner import BenchResult
@@ -353,6 +352,9 @@ def run_sweep(
 
     if pending:
         if jobs > 1 and len(pending) > 1:
+            # Only a parallel sweep needs the pool (and multiprocessing).
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [
                     pool.submit(execute_point, points[index].fn,

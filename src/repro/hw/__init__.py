@@ -6,17 +6,11 @@ Arria 10 FPGA reachable over CCI-P (2x PCIe Gen3x8 links + 1x UPI link), the
 Dagger NIC synthesized in the FPGA's green region, and a ToR switch model.
 """
 
-from repro.hw.platform import Machine, MachineConfig
-from repro.hw.cluster import Cluster
-from repro.hw.cpu import Core, SoftwareThread
-from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
+from repro import lazy_exports
 
-__all__ = [
-    "Machine",
-    "MachineConfig",
-    "Cluster",
-    "Core",
-    "SoftwareThread",
-    "Calibration",
-    "DEFAULT_CALIBRATION",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "platform": ("Machine", "MachineConfig"),
+    "cluster": ("Cluster",),
+    "cpu": ("Core", "SoftwareThread"),
+    "calibration": ("Calibration", "DEFAULT_CALIBRATION"),
+})

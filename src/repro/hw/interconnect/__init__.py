@@ -16,17 +16,11 @@ transaction level:
   the Fig 11 endpoint-saturation microbenchmark.
 """
 
-from repro.hw.interconnect.base import CpuNicInterface, TransferMode
-from repro.hw.interconnect.pcie import PcieDoorbellInterface, PcieMmioInterface
-from repro.hw.interconnect.upi import UpiInterface
-from repro.hw.interconnect.ccip import CcipMux, make_interface
+from repro import lazy_exports
 
-__all__ = [
-    "CpuNicInterface",
-    "TransferMode",
-    "PcieMmioInterface",
-    "PcieDoorbellInterface",
-    "UpiInterface",
-    "CcipMux",
-    "make_interface",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("CpuNicInterface", "TransferMode"),
+    "pcie": ("PcieMmioInterface", "PcieDoorbellInterface"),
+    "upi": ("UpiInterface",),
+    "ccip": ("CcipMux", "make_interface"),
+})

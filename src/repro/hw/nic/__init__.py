@@ -17,33 +17,15 @@ One Python module per RTL block:
 - :mod:`virtualization` — multi-NIC instancing on one FPGA (Fig 14).
 """
 
-from repro.hw.nic.config import NicHardConfig, NicSoftConfig
-from repro.hw.nic.connection_manager import ConnectionManager, ConnectionTuple
-from repro.hw.nic.dagger_nic import DaggerNic
-from repro.hw.nic.load_balancer import (
-    LoadBalancer,
-    ObjectLevelBalancer,
-    RoundRobinBalancer,
-    StaticBalancer,
-    make_balancer,
-)
-from repro.hw.nic.packet_monitor import PacketMonitor
-from repro.hw.nic.resources import FpgaResources, estimate_resources
-from repro.hw.nic.virtualization import VirtualizedFpga
+from repro import lazy_exports
 
-__all__ = [
-    "NicHardConfig",
-    "NicSoftConfig",
-    "ConnectionManager",
-    "ConnectionTuple",
-    "DaggerNic",
-    "LoadBalancer",
-    "RoundRobinBalancer",
-    "StaticBalancer",
-    "ObjectLevelBalancer",
-    "make_balancer",
-    "PacketMonitor",
-    "FpgaResources",
-    "estimate_resources",
-    "VirtualizedFpga",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("NicHardConfig", "NicSoftConfig"),
+    "connection_manager": ("ConnectionManager", "ConnectionTuple"),
+    "dagger_nic": ("DaggerNic",),
+    "load_balancer": ("LoadBalancer", "RoundRobinBalancer", "StaticBalancer",
+                      "ObjectLevelBalancer", "make_balancer"),
+    "packet_monitor": ("PacketMonitor",),
+    "resources": ("FpgaResources", "estimate_resources"),
+    "virtualization": ("VirtualizedFpga",),
+})

@@ -37,89 +37,27 @@ from any simulated run:
 See docs/observability.md for a walkthrough.
 """
 
-from repro.obs.anomaly import (
-    AnomalyFinding,
-    AnomalyReport,
-    detect_anomalies,
-    detect_change_points,
-)
-from repro.obs.breakdown import Breakdown, StageStats, breakdown
-from repro.obs.chrome_trace import chrome_trace_events, export_chrome_trace
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    register_dagger_nic,
-)
-from repro.obs.sinks import (
-    InMemorySink,
-    JsonLinesSink,
-    TraceFileError,
-    dump_metrics,
-    dump_timeline,
-    dump_trace,
-    load_trace,
-)
-from repro.obs.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    MomentSketch,
-    QuantileSketch,
-    merge_quantile_sketches,
-)
-from repro.obs.timeline import (
-    BottleneckReport,
-    TimelineCollector,
-    TimeSeries,
-    attribute_bottleneck,
-    find_latency_knee,
-    utilization_summary,
-    utilization_tenants,
-)
-from repro.obs.trace import (
-    CANONICAL_POINTS,
-    RpcSpan,
-    SpanTracer,
-    attach_tracer,
-    packet_point,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AnomalyFinding",
-    "AnomalyReport",
-    "detect_anomalies",
-    "detect_change_points",
-    "DEFAULT_RELATIVE_ACCURACY",
-    "MomentSketch",
-    "QuantileSketch",
-    "merge_quantile_sketches",
-    "Breakdown",
-    "StageStats",
-    "breakdown",
-    "chrome_trace_events",
-    "export_chrome_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "register_dagger_nic",
-    "InMemorySink",
-    "JsonLinesSink",
-    "TraceFileError",
-    "dump_metrics",
-    "dump_timeline",
-    "dump_trace",
-    "load_trace",
-    "BottleneckReport",
-    "TimelineCollector",
-    "TimeSeries",
-    "attribute_bottleneck",
-    "find_latency_knee",
-    "utilization_summary",
-    "utilization_tenants",
-    "CANONICAL_POINTS",
-    "RpcSpan",
-    "SpanTracer",
-    "attach_tracer",
-    "packet_point",
-]
+# ``breakdown`` names both a submodule and the function it exports. Importing
+# the submodule binds the module over a lazy name, so the function is bound
+# here, before anything can import the submodule.
+from repro.obs.breakdown import breakdown
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "anomaly": ("AnomalyFinding", "AnomalyReport", "detect_anomalies",
+                "detect_change_points"),
+    "sketch": ("DEFAULT_RELATIVE_ACCURACY", "MomentSketch", "QuantileSketch",
+               "merge_quantile_sketches"),
+    "breakdown": ("Breakdown", "StageStats", "breakdown"),
+    "chrome_trace": ("chrome_trace_events", "export_chrome_trace"),
+    "registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "register_dagger_nic"),
+    "sinks": ("InMemorySink", "JsonLinesSink", "TraceFileError",
+              "dump_metrics", "dump_timeline", "dump_trace", "load_trace"),
+    "timeline": ("BottleneckReport", "TimelineCollector", "TimeSeries",
+                 "attribute_bottleneck", "find_latency_knee",
+                 "utilization_summary", "utilization_tenants"),
+    "trace": ("CANONICAL_POINTS", "RpcSpan", "SpanTracer", "attach_tracer",
+              "packet_point"),
+})

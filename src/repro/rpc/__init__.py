@@ -7,30 +7,12 @@ with dispatch- and worker-thread models, and the wire message format the
 NIC understands.
 """
 
-from repro.rpc.errors import (
-    RpcError,
-    ConnectionError_,
-    MethodNotFoundError,
-    SerializationError,
-    RpcDroppedError,
-)
-from repro.rpc.messages import RpcKind, RpcPacket
-from repro.rpc.client import CompletionQueue, RpcCall, RpcClient, RpcClientPool
-from repro.rpc.server import RpcServerThread, RpcThreadedServer, ThreadingModel
+from repro import lazy_exports
 
-__all__ = [
-    "RpcError",
-    "ConnectionError_",
-    "MethodNotFoundError",
-    "SerializationError",
-    "RpcDroppedError",
-    "RpcKind",
-    "RpcPacket",
-    "RpcClient",
-    "RpcClientPool",
-    "RpcCall",
-    "CompletionQueue",
-    "RpcThreadedServer",
-    "RpcServerThread",
-    "ThreadingModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": ("RpcError", "ConnectionError_", "MethodNotFoundError",
+               "SerializationError", "RpcDroppedError"),
+    "messages": ("RpcKind", "RpcPacket"),
+    "client": ("RpcClient", "RpcClientPool", "RpcCall", "CompletionQueue"),
+    "server": ("RpcThreadedServer", "RpcServerThread", "ThreadingModel"),
+})

@@ -22,21 +22,11 @@ continuous fixed-size fields — scalars and char arrays — no references or
 nested variable-length structures.
 """
 
-from repro.rpc.idl.ast_nodes import FieldDef, IdlFile, MessageDef, RpcDef, ServiceDef
-from repro.rpc.idl.lexer import IdlSyntaxError, Token, tokenize
-from repro.rpc.idl.parser import parse_idl
-from repro.rpc.idl.codegen import generate_python, load_idl
+from repro import lazy_exports
 
-__all__ = [
-    "FieldDef",
-    "MessageDef",
-    "RpcDef",
-    "ServiceDef",
-    "IdlFile",
-    "Token",
-    "tokenize",
-    "IdlSyntaxError",
-    "parse_idl",
-    "generate_python",
-    "load_idl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ast_nodes": ("FieldDef", "MessageDef", "RpcDef", "ServiceDef", "IdlFile"),
+    "lexer": ("Token", "tokenize", "IdlSyntaxError"),
+    "parser": ("parse_idl",),
+    "codegen": ("generate_python", "load_idl"),
+})

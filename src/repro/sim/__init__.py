@@ -6,42 +6,14 @@ store gets/puts, other processes) and are resumed when those events trigger.
 Simulated time is integer nanoseconds throughout the repository.
 """
 
-from repro.sim.kernel import Simulator, Event, Timeout, Interrupt, SimulationError
-from repro.sim.process import Process
-from repro.sim.resources import Resource, Store, QueueFullError, Usage
-from repro.sim.sharded import ShardedResult, run_sharded
-from repro.sim.stats import LatencyRecorder, SummaryStats, percentile
-from repro.sim.distributions import (
-    Distribution,
-    Constant,
-    Exponential,
-    LogNormal,
-    Uniform,
-    Empirical,
-    Zipfian,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
-    "SimulationError",
-    "Resource",
-    "Store",
-    "QueueFullError",
-    "Usage",
-    "LatencyRecorder",
-    "SummaryStats",
-    "percentile",
-    "ShardedResult",
-    "run_sharded",
-    "Distribution",
-    "Constant",
-    "Exponential",
-    "LogNormal",
-    "Uniform",
-    "Empirical",
-    "Zipfian",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "kernel": ("Simulator", "Event", "Timeout", "Interrupt", "SimulationError"),
+    "process": ("Process",),
+    "resources": ("Resource", "Store", "QueueFullError", "Usage"),
+    "stats": ("LatencyRecorder", "SummaryStats", "percentile"),
+    "sharded": ("ShardedResult", "run_sharded"),
+    "distributions": ("Distribution", "Constant", "Exponential", "LogNormal",
+                      "Uniform", "Empirical", "Zipfian"),
+})

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import multiprocessing
 import pickle
 import traceback
 from dataclasses import dataclass, field
@@ -86,6 +85,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import SimulationError
+from repro.sim.stats import canonical_json
 
 #: In-memory boundary record layout: ``(arrival_ns, src_host, seq,
 #: dst_address, packet)``. ``(arrival_ns, src_host, seq)`` is the canonical
@@ -119,16 +119,6 @@ def _resolve(path: str) -> Callable[..., Any]:
         return getattr(module, attr)
     except AttributeError:
         raise AttributeError(f"{module_name!r} has no attribute {attr!r}") from None
-
-
-def canonical_json(value: Any) -> str:
-    """Canonical JSON: same bytes for the same data on every path.
-
-    Mirrors the sweep cache's normalization (``sort_keys`` + compact
-    separators) so sharded result signatures compose with the rest of the
-    determinism machinery.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _inject_key(src_host: int, seq: int) -> int:
@@ -485,6 +475,8 @@ def run_sharded(
                 _LocalShards(builder, assignment[0], params, lookahead_ns)
             )
         else:
+            import multiprocessing  # only multi-shard runs need it
+
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in multiprocessing.get_all_start_methods()
                 else None

@@ -18,9 +18,10 @@ Two recording modes (ISSUE 8):
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 #: Valid latency-recording modes, in documentation order.
 RECORDING_MODES = ("exact", "sketch")
@@ -32,6 +33,16 @@ def _check_mode(mode: str) -> str:
             f"mode must be one of {RECORDING_MODES}, got {mode!r}"
         )
     return mode
+
+
+def canonical_json(value: Any) -> str:
+    """Canonical JSON: same bytes for the same data on every path.
+
+    Mirrors the sweep cache's normalization (``sort_keys`` + compact
+    separators), so result signatures (echo, mesh, cluster, sharded
+    per-host results) compose with the rest of the determinism machinery.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def percentile(samples: Sequence[float], pct: float, *,

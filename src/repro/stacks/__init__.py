@@ -17,29 +17,16 @@ over any of them:
   (message-level only, as in Table 3).
 """
 
-from repro.stacks.base import RpcStack, StackPort, connect
-from repro.stacks.dagger import DaggerStack
-from repro.stacks.modeled import ModeledStack, ModeledStackParams
-from repro.stacks.linux_tcp import LinuxTcpStack
-from repro.stacks.dpdk import DpdkStack, ERpcStack
-from repro.stacks.rdma import FasstRdmaStack
-from repro.stacks.ix import IxStack
-from repro.stacks.netdimm import NetDimmStack
-from repro.stacks.registry import STACKS, make_stack
+from repro import lazy_exports
 
-__all__ = [
-    "RpcStack",
-    "StackPort",
-    "connect",
-    "DaggerStack",
-    "ModeledStack",
-    "ModeledStackParams",
-    "LinuxTcpStack",
-    "DpdkStack",
-    "ERpcStack",
-    "FasstRdmaStack",
-    "IxStack",
-    "NetDimmStack",
-    "STACKS",
-    "make_stack",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("RpcStack", "StackPort", "connect"),
+    "dagger": ("DaggerStack",),
+    "modeled": ("ModeledStack", "ModeledStackParams"),
+    "linux_tcp": ("LinuxTcpStack",),
+    "dpdk": ("DpdkStack", "ERpcStack"),
+    "rdma": ("FasstRdmaStack",),
+    "ix": ("IxStack",),
+    "netdimm": ("NetDimmStack",),
+    "registry": ("STACKS", "make_stack"),
+})

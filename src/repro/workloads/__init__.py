@@ -11,44 +11,14 @@
   policy.
 """
 
-from repro.workloads.rpc_sizes import (
-    SOCIAL_NETWORK_SIZES,
-    MEDIA_SIZES,
-    TierSizes,
-    request_size_cdf,
-    sample_sizes,
-)
-from repro.workloads.driver import LoadDriver, poisson_schedule, split_quota
-from repro.workloads.kv_datasets import DATASETS, KvDataset, WORKLOAD_MIXES
-from repro.workloads.sessions import (
-    BurstModulation,
-    DiurnalModulation,
-    MODULATIONS,
-    SessionArrival,
-    SessionWorkload,
-    SteadyModulation,
-    make_modulation,
-    session_key,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "LoadDriver",
-    "poisson_schedule",
-    "split_quota",
-    "BurstModulation",
-    "DiurnalModulation",
-    "MODULATIONS",
-    "SessionArrival",
-    "SessionWorkload",
-    "SteadyModulation",
-    "make_modulation",
-    "session_key",
-    "SOCIAL_NETWORK_SIZES",
-    "MEDIA_SIZES",
-    "TierSizes",
-    "request_size_cdf",
-    "sample_sizes",
-    "DATASETS",
-    "KvDataset",
-    "WORKLOAD_MIXES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "driver": ("LoadDriver", "poisson_schedule", "split_quota"),
+    "sessions": ("BurstModulation", "DiurnalModulation", "MODULATIONS",
+                 "SessionArrival", "SessionWorkload", "SteadyModulation",
+                 "make_modulation", "session_key"),
+    "rpc_sizes": ("SOCIAL_NETWORK_SIZES", "MEDIA_SIZES", "TierSizes",
+                  "request_size_cdf", "sample_sizes"),
+    "kv_datasets": ("DATASETS", "KvDataset", "WORKLOAD_MIXES"),
+})
