@@ -21,17 +21,25 @@ flavor Perfetto's ``ui.perfetto.dev`` opens directly):
 Timestamps: the trace-event format wants microseconds; simulated integer
 nanoseconds are divided by 1000.0 (Perfetto handles fractional µs).
 
-Events are built span by span and series by series and handed on in
-chunks of a few thousand. :func:`export_chrome_trace` encodes each chunk
-with the one-shot C JSON encoder and writes it before the next is built,
-so neither the event list nor the encoded document is ever held whole.
+The export is built as JSON text, not as dicts. Every event is formatted
+straight to the text ``json.dumps`` would give it, from a template per
+kind: strings go through the encoder's own ``encode_basestring_ascii``,
+and numbers through ``repr`` when that is the encoder's text (a plain
+``int``, a finite plain ``float``) and through ``json.dumps`` otherwise
+(``bool``, NaN, ±inf, subclasses). The fragments
+are handed on in chunks of a few thousand. :func:`export_chrome_trace`
+joins and writes each chunk before the next is built, so neither the
+events nor the document is ever held whole, and the bytes equal
+``json.dumps`` of the whole document. :func:`chrome_trace_events` parses
+the same fragments back into dicts.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import IO, Iterator, List, Optional, Union
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
+from typing import IO, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.breakdown import STAGES, _span_segments
 from repro.obs.timeline import (
@@ -72,98 +80,108 @@ _STAGE_TRACK = {
 _STAGE_LABELS = {(a, b): label for a, b, label in STAGES}
 _TRACK_TID = {name: i for i, name in enumerate(TRACKS)}
 
-#: Events per chunk handed to the encoder. ``json.dump`` would take the
-#: pure-Python encoder and write token by token; one ``json.dumps`` call
-#: per chunk runs in C, and memory is bounded by the chunk, not the trace.
+#: Events per chunk: one ``write`` per chunk, and the export's memory is
+#: bounded by the chunk, not the trace.
 _CHUNK_EVENTS = 4096
 
 
-def _metadata_events() -> List[dict]:
+def _number(value) -> str:
+    """``json.dumps(value)``, through ``repr`` where that is the same text.
+
+    The per-event loops repeat the ``repr`` test inline, so that a plain
+    number costs no call.
+    """
+    kind = type(value)
+    if kind is int or kind is float and isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _metadata_event(pid: int, tid: int, kind: str, name: str) -> str:
+    return (f'{{"ph": "M", "pid": {pid}, "tid": {tid}, "name": "{kind}", '
+            f'"args": {{"name": {_string(name)}}}}}')
+
+
+def _metadata_events() -> List[str]:
     events = [
-        {"ph": "M", "pid": PIPELINE_PID, "tid": 0, "name": "process_name",
-         "args": {"name": "RPC pipeline"}},
-        {"ph": "M", "pid": TELEMETRY_PID, "tid": 0, "name": "process_name",
-         "args": {"name": "telemetry"}},
+        _metadata_event(PIPELINE_PID, 0, "process_name", "RPC pipeline"),
+        _metadata_event(TELEMETRY_PID, 0, "process_name", "telemetry"),
     ]
     for track, tid in _TRACK_TID.items():
-        events.append({"ph": "M", "pid": PIPELINE_PID, "tid": tid,
-                       "name": "thread_name", "args": {"name": track}})
+        events.append(
+            _metadata_event(PIPELINE_PID, tid, "thread_name", track))
     return events
 
 
-def _span_events(span: RpcSpan) -> List[dict]:
-    """One span's slice events followed by its flow chain."""
-    events = []
-    tracks = []
-    for a, b, duration in _span_segments(span):
-        label = _STAGE_LABELS.get((a, b), f"{a} -> {b}")
-        track = _STAGE_TRACK.get(label, "other")
-        tracks.append((track, span.events[a]))
-        events.append({
-            "ph": "X",
-            "name": label,
-            "cat": "rpc",
-            "pid": PIPELINE_PID,
-            "tid": _TRACK_TID[track],
-            "ts": span.events[a] / 1000.0,
-            "dur": duration / 1000.0,
-            "args": {"rpc_id": span.rpc_id},
-        })
-    events.extend(_flow_events(span.rpc_id, tracks))
-    return events
+def _slice_head(a: str, b: str) -> Tuple[int, str]:
+    """The track tid and the text up to ``"ts": `` of the ``a -> b`` slice."""
+    label = _STAGE_LABELS.get((a, b), f"{a} -> {b}")
+    tid = _TRACK_TID[_STAGE_TRACK.get(label, "other")]
+    return tid, (f'{{"ph": "X", "name": {_string(label)}, "cat": "rpc", '
+                 f'"pid": {PIPELINE_PID}, "tid": {tid}, "ts": ')
 
 
-def _flow_events(rpc_id: int, tracks: List[tuple]) -> List[dict]:
-    """Flow (``s``/``t``/``f``) events tying one RPC's slices together.
+#: Slice heads of the canonical stages; a merged ``a -> b`` gap builds its
+#: own.
+_SLICE_HEADS = {(a, b): _slice_head(a, b) for a, b, _ in STAGES}
 
-    One flow chain per span, with a point at every *track transition*
-    (client CPU -> client NIC -> wire -> ...), so Perfetto draws a causal
-    arrow each time the request hops components; consecutive slices on
-    the same track don't get redundant arrows. Each point's ``ts`` is
-    its slice's start, which is how the trace format binds a flow event
-    to its enclosing slice; the terminating ``"f"`` uses ``bp: "e"``
-    (bind to enclosing slice) per the spec.
+
+def _span_events(span: RpcSpan, out: List[str]) -> None:
+    """Append one span's slice events, then its flow chain, to ``out``.
+
+    The flow chain has a point at every *track transition* (client CPU ->
+    client NIC -> wire -> ...), so Perfetto draws a causal arrow each
+    time the request hops components; consecutive slices on the same
+    track don't get redundant arrows, and a span on one track gets no
+    chain. Each point's ``ts`` is its slice's start, which is how the
+    trace format binds a flow event to its enclosing slice; the
+    terminating ``"f"`` uses ``bp: "e"`` (bind to enclosing slice) per
+    the spec.
     """
+    events = span.events
+    rpc_id = _number(span.rpc_id)
+    args = f', "args": {{"rpc_id": {rpc_id}}}}}'
     hops = []
     previous = None
-    for track, t_ns in tracks:
-        if track != previous:
-            hops.append((track, t_ns))
-            previous = track
+    for a, b, duration in _span_segments(span):
+        tid, text = _SLICE_HEADS.get((a, b)) or _slice_head(a, b)
+        ts = events[a] / 1000.0
+        ts = repr(ts) if type(ts) is float and isfinite(ts) else _number(ts)
+        dur = duration / 1000.0
+        dur = repr(dur) if type(dur) is float and isfinite(dur) else _number(dur)
+        out.append(f'{text}{ts}, "dur": {dur}{args}')
+        if tid != previous:
+            hops.append((tid, ts))
+            previous = tid
     if len(hops) < 2:
-        return []
-    events = []
-    for index, (track, t_ns) in enumerate(hops):
-        event = {
-            "ph": "s" if index == 0 else
-                  ("f" if index == len(hops) - 1 else "t"),
-            "name": "rpc flow",
-            "cat": "rpc",
-            "id": rpc_id,
-            "pid": PIPELINE_PID,
-            "tid": _TRACK_TID[track],
-            "ts": t_ns / 1000.0,
-        }
-        if event["ph"] == "f":
-            event["bp"] = "e"
-        events.append(event)
-    return events
+        return
+    flow = (f', "name": "rpc flow", "cat": "rpc", "id": {rpc_id}, '
+            f'"pid": {PIPELINE_PID}, "tid": ')
+    for index, (tid, ts) in enumerate(hops[:-1]):
+        ph = "t" if index else "s"
+        out.append(f'{{"ph": "{ph}"{flow}{tid}, "ts": {ts}}}')
+    tid, ts = hops[-1]
+    out.append(f'{{"ph": "f"{flow}{tid}, "ts": {ts}, "bp": "e"}}')
 
 
-def _counter_events(series: TimeSeries, pid: int = TELEMETRY_PID) -> List[dict]:
-    """One ``"C"`` event per sample (rate for counters, raw for gauges)."""
+def _counter_events(series: TimeSeries, pid: int, out: List[str]) -> None:
+    """Append one ``"C"`` event per sample (rate for counters, raw for
+    gauges) to ``out``."""
     track = f"{series.component}.{series.name}"
     if series.mode == "counter":
         samples = series.rate()
         if series.name.endswith(BUSY_SUFFIX):
             track = f"{_summary_key(series)} utilization"
     else:
-        samples = list(zip(series.times, series.values))
-    return [
-        {"ph": "C", "name": track, "pid": pid, "tid": 0,
-         "ts": t / 1000.0, "args": {"value": value}}
-        for t, value in samples
-    ]
+        samples = zip(series.times, series.values)
+    head = f'{{"ph": "C", "name": {_string(track)}, "pid": {pid}, "tid": 0, "ts": '
+    for t, value in samples:
+        ts = t / 1000.0
+        ts = repr(ts) if type(ts) is float and isfinite(ts) else _number(ts)
+        kind = type(value)
+        value = (repr(value) if kind is float and isfinite(value) or kind is int
+                 else _number(value))
+        out.append(f'{head}{ts}, "args": {{"value": {value}}}}}')
 
 
 def _exported_spans(tracer: Optional[SpanTracer],
@@ -179,8 +197,8 @@ def _exported_spans(tracer: Optional[SpanTracer],
 
 def _event_chunks(spans: List[RpcSpan],
                   collector: Optional[TimelineCollector]
-                  ) -> Iterator[List[dict]]:
-    """Yield the trace's events, in order, as non-empty lists.
+                  ) -> Iterator[List[str]]:
+    """Yield the trace's events, in order, as non-empty lists of JSON texts.
 
     Every list but the last holds at least ``_CHUNK_EVENTS`` events; a
     list is cut only between spans or series, so it overshoots by at most
@@ -188,7 +206,7 @@ def _event_chunks(spans: List[RpcSpan],
     """
     chunk = _metadata_events()
     for span in spans:
-        chunk += _span_events(span)
+        _span_events(span, chunk)
         if len(chunk) >= _CHUNK_EVENTS:
             yield chunk
             chunk = []
@@ -198,12 +216,11 @@ def _event_chunks(spans: List[RpcSpan],
             for index, tenant in enumerate(collector.tenants())
         }
         for tenant, pid in tenant_pids.items():
-            chunk.append({"ph": "M", "pid": pid, "tid": 0,
-                          "name": "process_name",
-                          "args": {"name": f"tenant {tenant}"}})
+            chunk.append(_metadata_event(pid, 0, "process_name",
+                                         f"tenant {tenant}"))
         for series in collector.series():
             pid = tenant_pids.get(series.tenant, TELEMETRY_PID)
-            chunk += _counter_events(series, pid)
+            _counter_events(series, pid, chunk)
             if len(chunk) >= _CHUNK_EVENTS:
                 yield chunk
                 chunk = []
@@ -220,18 +237,22 @@ def chrome_trace_events(
 
     ``max_spans`` caps how many spans are exported (most recent kept), the
     same bound as ``SpanTracer(max_spans=N)``: it must be at least 1. The
-    list holds every event at once; to write a long trace without that,
-    use :func:`export_chrome_trace`, which streams the same events.
+    events are the exported text parsed back, so every value has a plain
+    JSON type (an ``IntEnum`` sample reads as an ``int``). The list holds
+    every event at once; to write a long trace without that, use
+    :func:`export_chrome_trace`, which streams the same text.
     """
-    return list(chain.from_iterable(
-        _event_chunks(_exported_spans(tracer, max_spans), collector)))
+    events: List[dict] = []
+    for chunk in _event_chunks(_exported_spans(tracer, max_spans), collector):
+        events += json.loads(f"[{', '.join(chunk)}]")
+    return events
 
 
-def _write_chunks(handle: IO[str], chunks: Iterator[List[dict]]) -> int:
+def _write_chunks(handle: IO[str], chunks: Iterator[List[str]]) -> int:
     handle.write('{"traceEvents": [')
     count = 0
     for chunk in chunks:
-        body = json.dumps(chunk)[1:-1]
+        body = ", ".join(chunk)
         handle.write(body if count == 0 else ", " + body)
         count += len(chunk)
     handle.write('], "displayTimeUnit": "ns"}')

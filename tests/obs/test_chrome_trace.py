@@ -1,6 +1,7 @@
-"""Chrome trace-event / Perfetto export: event schema, track layout and
-the streamed writer."""
+"""Chrome trace-event / Perfetto export: event schema, track layout, and
+the streamed text against a dict-built reference."""
 
+import enum
 import io
 import json
 import math
@@ -16,7 +17,14 @@ from repro.obs import (
     export_chrome_trace,
     utilization_summary,
 )
-from repro.obs.chrome_trace import PIPELINE_PID, TELEMETRY_PID, TRACKS
+from repro.obs.breakdown import STAGES, _span_segments
+from repro.obs.chrome_trace import (
+    PIPELINE_PID,
+    TELEMETRY_PID,
+    TENANT_PID_BASE,
+    TRACKS,
+)
+from repro.obs.timeline import BUSY_SUFFIX, _summary_key
 from repro.sim import Simulator
 
 
@@ -39,6 +47,35 @@ def make_collector():
         busy.append(t, v)
         depth.append(t, v // 100)
     return collector
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Ratio(float):
+    def __repr__(self):
+        return f"Ratio({float(self)})"
+
+
+def make_edge_sources():
+    """A non-canonical stage, fractional timestamps, sample values of every
+    kind the encoder treats apart, and names it must escape."""
+    tracer = SpanTracer()
+    tracer.record(2**40, "req_issue", 1500.5)
+    tracer.record(2**40, "req_nic_fetched", 1733.25)  # "req_issue -> ..."
+    tracer.record(2**40, "resp_complete", 9000)
+    collector = TimelineCollector(Simulator())
+    gauge = collector.add_probe("n\u00efc", 'rx "d\u00e9pth"\\', lambda: 0)
+    for t, value in enumerate((3, True, False, 0.1, 1e-07, 1e16, -0.0,
+                               2**70, math.nan, math.inf, -math.inf,
+                               Level.HIGH, Ratio(0.25))):
+        gauge.append(t * 1000, value)
+    busy = collector.add_probe("\u7f51\u5361", "pipeline_busy_ns", lambda: 0,
+                               mode="counter", tenant="t\u00fc")
+    for t, value in ((0, 0), (1000, 250), (2000, math.inf), (3000, math.inf)):
+        busy.append(t, value)  # rates 0.25, inf, nan
+    return {"tracer": tracer, "collector": collector}
 
 
 def assert_same_text(actual, expected):
@@ -219,12 +256,105 @@ class CountingSink(io.StringIO):
         return super().write(text)
 
 
+# -- the dict reference --------------------------------------------------------
+# The export formats each event straight to JSON text. These functions make
+# the same events as dicts; ``json.dumps`` of their list is the document
+# the exported bytes must equal.
+
+_STAGE_LABELS = {(a, b): label for a, b, label in STAGES}
+_TRACK_TID = {name: i for i, name in enumerate(TRACKS)}
+
+
+def reference_span_events(span):
+    """One span's slice events followed by its flow chain."""
+    events = []
+    tracks = []
+    for a, b, duration in _span_segments(span):
+        label = _STAGE_LABELS.get((a, b), f"{a} -> {b}")
+        track = chrome_trace._STAGE_TRACK.get(label, "other")
+        tracks.append((track, span.events[a]))
+        events.append({
+            "ph": "X",
+            "name": label,
+            "cat": "rpc",
+            "pid": PIPELINE_PID,
+            "tid": _TRACK_TID[track],
+            "ts": span.events[a] / 1000.0,
+            "dur": duration / 1000.0,
+            "args": {"rpc_id": span.rpc_id},
+        })
+    hops = []
+    for track, t_ns in tracks:
+        if not hops or hops[-1][0] != track:
+            hops.append((track, t_ns))
+    if len(hops) < 2:
+        return events
+    for index, (track, t_ns) in enumerate(hops):
+        event = {
+            "ph": "s" if index == 0 else
+                  ("f" if index == len(hops) - 1 else "t"),
+            "name": "rpc flow",
+            "cat": "rpc",
+            "id": span.rpc_id,
+            "pid": PIPELINE_PID,
+            "tid": _TRACK_TID[track],
+            "ts": t_ns / 1000.0,
+        }
+        if event["ph"] == "f":
+            event["bp"] = "e"
+        events.append(event)
+    return events
+
+
+def reference_counter_events(series, pid):
+    track = f"{series.component}.{series.name}"
+    if series.mode == "counter":
+        samples = series.rate()
+        if series.name.endswith(BUSY_SUFFIX):
+            track = f"{_summary_key(series)} utilization"
+    else:
+        samples = list(zip(series.times, series.values))
+    return [
+        {"ph": "C", "name": track, "pid": pid, "tid": 0,
+         "ts": t / 1000.0, "args": {"value": value}}
+        for t, value in samples
+    ]
+
+
+def reference_events(tracer=None, collector=None):
+    events = [
+        {"ph": "M", "pid": PIPELINE_PID, "tid": 0, "name": "process_name",
+         "args": {"name": "RPC pipeline"}},
+        {"ph": "M", "pid": TELEMETRY_PID, "tid": 0, "name": "process_name",
+         "args": {"name": "telemetry"}},
+    ]
+    for track, tid in _TRACK_TID.items():
+        events.append({"ph": "M", "pid": PIPELINE_PID, "tid": tid,
+                       "name": "thread_name", "args": {"name": track}})
+    for span in tracer.spans() if tracer is not None else ():
+        events += reference_span_events(span)
+    if collector is not None:
+        tenant_pids = {
+            tenant: TENANT_PID_BASE + index
+            for index, tenant in enumerate(collector.tenants())
+        }
+        for tenant, pid in tenant_pids.items():
+            events.append({"ph": "M", "pid": pid, "tid": 0,
+                           "name": "process_name",
+                           "args": {"name": f"tenant {tenant}"}})
+        for series in collector.series():
+            events += reference_counter_events(
+                series, tenant_pids.get(series.tenant, TELEMETRY_PID))
+    return events
+
+
 def one_shot_document(**sources):
-    return json.dumps({"traceEvents": chrome_trace_events(**sources),
+    return json.dumps({"traceEvents": reference_events(**sources),
                        "displayTimeUnit": "ns"})
 
 
-@pytest.fixture(params=["metadata", "synthetic", "echo_rig", "tenant_rig"])
+@pytest.fixture(params=["metadata", "synthetic", "echo_rig", "tenant_rig",
+                        "edge_values"])
 def sources(request):
     if request.param == "metadata":
         return {}
@@ -233,6 +363,8 @@ def sources(request):
     if request.param == "echo_rig":
         rig = request.getfixturevalue("echo_rig")
         return {"tracer": rig.tracer, "collector": rig.timeline}
+    if request.param == "edge_values":
+        return make_edge_sources()
     return {"collector": request.getfixturevalue("tenant_rig").timeline}
 
 
@@ -246,6 +378,12 @@ def test_export_bytes_equal_one_shot_dumps(sources, chunk_events,
     count = export_chrome_trace(buffer, **sources)
     assert_same_text(buffer.getvalue(), expected)
     assert count == len(json.loads(expected)["traceEvents"])
+
+
+def test_event_list_parses_the_exported_text(sources):
+    # Compared as text: NaN samples never compare equal as values.
+    assert_same_text(json.dumps(chrome_trace_events(**sources)),
+                     json.dumps(reference_events(**sources)))
 
 
 @pytest.mark.parametrize("events", [15, 16, 17, 31, 32, 33])
