@@ -371,6 +371,11 @@ class Simulator:
                 free = tfree if recyclable == _TIMEOUT_POOL else cfree
                 if len(free) < _POOL_CAP:
                     free.append(event)
+            elif not callbacks:
+                # No waiter, e.g. the exit of a process nobody joins. Test
+                # before the unpack, which would raise and catch here;
+                # _run_callbacks re-raises an unobserved process failure.
+                event._run_callbacks()
             else:
                 try:
                     [callback] = callbacks
@@ -493,6 +498,11 @@ class Simulator:
                 free = tfree if recyclable == _TIMEOUT_POOL else cfree
                 if len(free) < _POOL_CAP:
                     free.append(event)
+            elif not callbacks:
+                # No waiter, e.g. the exit of a process nobody joins. Test
+                # before the unpack, which would raise and catch here;
+                # _run_callbacks re-raises an unobserved process failure.
+                event._run_callbacks()
             else:
                 try:
                     [callback] = callbacks
@@ -555,6 +565,11 @@ class Simulator:
                 free = tfree if recyclable == _TIMEOUT_POOL else cfree
                 if len(free) < _POOL_CAP:
                     free.append(event)
+            elif not callbacks:
+                # No waiter, e.g. the exit of a process nobody joins. Test
+                # before the unpack, which would raise and catch here;
+                # _run_callbacks re-raises an unobserved process failure.
+                event._run_callbacks()
             else:
                 try:
                     [callback] = callbacks

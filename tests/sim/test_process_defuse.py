@@ -31,6 +31,26 @@ def test_unobserved_failure_still_raises():
         sim.run()
 
 
+@pytest.mark.parametrize("loop", ["run_horizon", "run_until_done"])
+def test_unobserved_failure_raises_from_every_loop(loop):
+    sim = Simulator()
+
+    def bad():
+        yield sim.timeout(1)
+        raise ValueError("unobserved")
+
+    def bystander():
+        yield sim.timeout(5)
+
+    sim.spawn(bad())
+    other = sim.spawn(bystander())
+    with pytest.raises(ValueError, match="unobserved"):
+        if loop == "run_horizon":
+            sim.run_horizon(None)
+        else:
+            sim.run_until_done(other)
+
+
 def test_explicit_defuse():
     sim = Simulator()
 
