@@ -296,6 +296,11 @@ class LatencyRecorder:
         return len(self.samples)
 
     def summary(self, *, keep_samples: bool = False) -> SummaryStats:
+        if self.discarded and not self.count:
+            raise ValueError(
+                f"all {self.discarded} completions finished inside the "
+                f"warm-up (warmup_ns={self.warmup_ns}): nothing to summarize"
+            )
         if self.sketch is not None:
             if keep_samples:
                 raise ValueError(

@@ -93,6 +93,9 @@ class LoadDriver:
         A full window is polled every 100 ns; ``intended_ns`` is the issue
         time.
         """
+        if window < 1:
+            # A lane that can never issue would poll forever.
+            raise ValueError(f"window must be >= 1, got {window}")
         self.sim.spawn(self._closed(client, window, items, issue))
 
     def open_lane(self, schedule: Iterable[Tuple[int, Any]],

@@ -48,6 +48,14 @@ class CountingSampler:
         return self.gap_ns
 
 
+def test_closed_lane_rejects_a_window_that_never_issues():
+    # A lane with a zero window would poll forever with nothing in flight.
+    sim = Simulator()
+    driver = LoadDriver(sim, target=1)
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        driver.closed_lane(FakeClient(sim), 0, [None], lambda *_: iter(()))
+
+
 def test_split_quota_keeps_the_remainder():
     assert split_quota(10, 3) == [4, 3, 3]
     assert split_quota(2, 3) == [1, 1, 0]
