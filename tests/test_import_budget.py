@@ -4,9 +4,9 @@ Every package ``__init__`` exports its public names lazily
 (:func:`repro.lazy_exports`), and heavy standard-library imports live in
 the function that needs them. An echo run therefore never loads the
 experiment catalogue, the sweep's process pool, the cluster harness, the
-sharded engine, the applications or a baseline stack. The import checks
-run in a fresh interpreter, because this one has imported everything the
-other tests use.
+sharded engine, the applications, a baseline stack or the Perfetto export.
+The import checks run in a fresh interpreter, because this one has
+imported everything the other tests use.
 """
 
 import importlib
@@ -30,6 +30,7 @@ UNUSED_BY_ECHO = (
     "repro.harness.cluster",
     "repro.sim.sharded",
     "repro.apps",
+    "repro.obs.chrome_trace",
 ) + tuple(
     f"repro.stacks.{module.name}"
     for module in pkgutil.iter_modules(repro.stacks.__path__)
