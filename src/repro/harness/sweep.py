@@ -259,11 +259,6 @@ def _accepts_param(point: SweepPoint, name: str) -> bool:
     return name in signature.parameters
 
 
-def _accepts_shards(point: SweepPoint) -> bool:
-    """True when the point's function takes an explicit ``shards`` kwarg."""
-    return _accepts_param(point, "shards")
-
-
 def _inject_param(points: List[SweepPoint], name: str,
                   value: Any) -> List[SweepPoint]:
     """Inject ``name=value`` into every point that can take it.

@@ -55,16 +55,6 @@ from typing import Any, Deque, Optional
 from repro.sim.kernel import _CONTROL_POOL, Event, SimulationError, Simulator
 
 
-def _pooled_event(sim: Simulator) -> Event:
-    """A recyclable event from the kernel pool (see module docstring)."""
-    free = sim._control_free
-    if free:
-        return free.pop()
-    event = Event(sim)
-    event._recyclable = _CONTROL_POOL
-    return event
-
-
 def _trigger_now(sim: Simulator, event: Event, value: Any = None) -> None:
     """Trigger an untriggered event at the current time (hot-path inline)."""
     event.triggered = True
@@ -415,13 +405,3 @@ class Store:
                     _trigger_now(self.sim, putter)
             return item
         return None
-
-    def _notify_get(self, item: Any) -> None:
-        if self.on_get is not None:
-            self.on_get(item)
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            putter = self._putters.popleft()
-            self._items.append(putter.value)
-            _trigger_now(self.sim, putter)
