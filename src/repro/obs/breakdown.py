@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.trace import CANONICAL_POINTS, RpcSpan, SpanTracer
+from repro.obs.trace import _POINT_INDEX, CANONICAL_POINTS, RpcSpan, SpanTracer
 from repro.sim.stats import SummaryStats, percentile
 
 #: Canonical adjacent-point stages and their Fig 3-style labels.
@@ -36,7 +36,6 @@ STAGES: Tuple[Tuple[str, str, str], ...] = (
 )
 
 _STAGE_LABELS = {(a, b): label for a, b, label in STAGES}
-_POINT_INDEX = {point: i for i, point in enumerate(CANONICAL_POINTS)}
 
 
 @dataclass
@@ -109,8 +108,8 @@ class _StageAccumulator:
 def _span_segments(span: RpcSpan) -> Iterable[Tuple[str, str, int]]:
     """(from_point, to_point, duration_ns) between consecutive recorded
     canonical points of one span."""
-    points = [(name, t) for name, t in span.ordered_events()
-              if name in _POINT_INDEX]
+    events = span.events
+    points = [(p, events[p]) for p in CANONICAL_POINTS if p in events]
     for (a, ta), (b, tb) in zip(points, points[1:]):
         yield a, b, tb - ta
 
