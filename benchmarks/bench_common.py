@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark regenerates one table/figure of the paper, prints a
-paper-vs-measured text table, and archives it under
-``benchmarks/results/`` so EXPERIMENTS.md can be refreshed from a run.
+Each catalogue entry's run prints its paper-vs-measured text table and
+archives it under ``benchmarks/results/``, the files EXPERIMENTS.md
+embeds.
 """
 
 import os

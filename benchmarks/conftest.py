@@ -7,8 +7,6 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_common import emit  # noqa: F401,E402 (back-compat re-export)
-
 
 @pytest.fixture
 def once(benchmark):

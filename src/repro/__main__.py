@@ -4,8 +4,10 @@ Commands:
 
 - ``list`` — show every reproducible experiment with its paper artifact.
 - ``run <experiment> [...] [--jobs N] [--no-cache] [--shards N]`` — run
-  experiments by id (e.g. ``fig10``, ``table3``, or ``all``) and print
-  paper-vs-measured tables; ``--jobs`` fans each experiment's sweep across
+  catalogue entries by id (e.g. ``fig10``, ``table3``, or ``all``; see
+  ``repro.harness.experiments``), print each paper-vs-measured table and
+  check its shape claims: exit 1 naming the entry and the claim when one
+  fails, 2 on bad input. ``--jobs`` fans each experiment's sweep across
   worker processes and repeated runs reuse the content-addressed result
   cache; ``--shards`` runs shard-aware experiments (``mesh``) on N
   parallel event loops (results are bit-identical in every mode — see
@@ -32,265 +34,60 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 
-from repro import harness  # experiments import on first use
-from repro.harness.report import (
-    render_bottleneck,
-    render_slo_curve,
-    render_table,
-)
-
-#: experiment id -> (description, runner returning printable text)
-_REGISTRY = {}
+from repro.harness.report import render_bottleneck, render_table
 
 
-def _register(exp_id, description):
-    def wrap(fn):
-        _REGISTRY[exp_id] = (description, fn)
-        return fn
-
-    return wrap
-
-
-@_register("table1", "Table 1: NIC implementation specs")
-def _table1(jobs=1, cache=True):
-    del jobs, cache  # no sub-runs to fan out
-    rows = harness.experiments.table1_resources()
-    return render_table(
-        ["parameter", "paper", "measured"],
-        [(r["parameter"], r["paper"], r["measured"]) for r in rows],
-    )
-
-
-@_register("table3", "Table 3: RTT + per-core Mrps across RPC platforms")
-def _table3(jobs=1, cache=True):
-    rows = harness.experiments.table3_rpc_platforms(jobs=jobs, cache=cache)
-    return render_table(
-        ["stack", "paper RTT us", "RTT us", "paper Mrps", "Mrps"],
-        [(r["stack"], r["paper_rtt_us"], r["rtt_us"],
-          r["paper_mrps"] or "-", r["mrps"] or "-") for r in rows],
-    )
-
-
-@_register("table4", "Table 4: Flight Registration threading models")
-def _table4(jobs=1, cache=True):
-    rows = harness.experiments.table4_flight(jobs=jobs, cache=cache)
-    return render_table(
-        ["model", "paper Krps", "Krps", "paper p50", "p50 us"],
-        [(r["model"], r["paper_max_krps"], r["max_krps"],
-          r["paper_p50_us"], r["p50_us"]) for r in rows],
-    )
-
-
-@_register("fig3", "Fig 3: networking share of tier latency")
-def _fig3(jobs=1, cache=True):
-    rows = harness.experiments.fig3_breakdown(jobs=jobs, cache=cache)
-    return render_table(
-        ["load Krps", "tier", "p50 us", "network share"],
-        [(r["load_krps"], r["tier"], r["p50_us"],
-          "-" if r["network_fraction"] is None
-          else f"{r['network_fraction']:.0%}") for r in rows],
-    )
-
-
-@_register("fig4", "Fig 4: RPC size distributions")
-def _fig4(jobs=1, cache=True):
-    del jobs, cache  # single in-process computation
-    result = harness.experiments.fig4_rpc_sizes()
-    rows = [(k, v) for k, v in result.items()
-            if k not in ("per_tier_median_request", "paper")]
-    rows += [(f"median request, {tier}", size)
-             for tier, size in result["per_tier_median_request"].items()]
-    return render_table(["metric", "value"], rows)
-
-
-@_register("fig5", "Fig 5: networking/application CPU contention")
-def _fig5(jobs=1, cache=True):
-    rows = harness.experiments.fig5_interference(jobs=jobs, cache=cache)
-    return render_table(
-        ["load Krps", "cores", "p99 us"],
-        [(r["load_krps"], "shared" if r["shared_cores"] else "separate",
-          r["p99_us"]) for r in rows],
-    )
-
-
-@_register("fig10", "Fig 10: CPU-NIC interface comparison")
-def _fig10(jobs=1, cache=True):
-    rows = harness.experiments.fig10_interfaces(jobs=jobs, cache=cache)
-    return render_table(
-        ["interface", "B", "paper Mrps", "Mrps", "p50 us", "p99 us"],
-        [(r["interface"], r["batch"], r["paper_mrps"], r["mrps"],
-          r["p50_us"], r["p99_us"]) for r in rows],
-    )
-
-
-@_register("fig11-load", "Fig 11 (left): latency vs load")
-def _fig11_load(jobs=1, cache=True):
-    rows = harness.experiments.fig11_latency_load(jobs=jobs, cache=cache)
-    return render_table(
-        ["config", "offered Mrps", "p50 us", "p99 us"],
-        [(r["config"], r["offered_mrps"], r["p50_us"], r["p99_us"])
-         for r in rows],
-    )
-
-
-@_register("fig11-bottleneck",
-           "Fig 11 (left): first-saturating component at the latency knee")
-def _fig11_bottleneck(jobs=1, cache=True):
-    result = harness.experiments.fig11_bottleneck(jobs=jobs, cache=cache)
-    return render_bottleneck(result["report"])
-
-
-@_register("fig14-isolation",
-           "Fig 14: tenant isolation on a virtualized multi-NIC FPGA")
-def _fig14_isolation(jobs=1, cache=True):
-    result = harness.experiments.fig14_isolation(jobs=jobs, cache=cache)
-    lines = [render_bottleneck(result["report"])]
-    lines.append(render_table(
-        ["steady tenant", "p99 us (quiet)", "p99 us (noisy)", "drift",
-         "isolated"],
-        [(r["tenant"], r["p99_us_at_min_noise"], r["p99_us_at_max_noise"],
-          f"{r['p99_drift']:+.1%}", "yes" if r["isolated"] else "NO")
-         for r in result["isolation"]],
-        title=f"Steady-tenant p99 while {result['noisy']} ramps to "
-              f"saturation (paper: barely moves)",
-    ))
-    return "\n\n".join(lines)
-
-
-@_register("chaos",
-           "Chaos: tail latency + recovery invariants per fault class")
-def _chaos(jobs=1, cache=True):
-    result = harness.experiments.figx_chaos(jobs=jobs, cache=cache)
-    return render_table(
-        ["fault class", "p50 us", "p99 us", "p99.9 us", "retx", "rto retx",
-         "dup drop", "lost", "recovered"],
-        [(r["fault_class"], r["p50_us"], r["p99_us"], r["p999_us"],
-          r["retransmissions"], r["timeout_retransmissions"],
-          r["duplicates_dropped"], r["lost_rpcs"],
-          "yes" if r["recovered"] else "NO")
-         for r in result["points"]],
-        title=f"Seeded fault injection (seed {result['seed']}, "
-              f"{result['nreq']} RPCs/class at {result['load_mrps']} Mrps)",
-    )
-
-
-@_register("mesh",
-           "Sharded engine: multi-host echo mesh parity across shard counts")
-def _mesh(jobs=1, cache=True, shards=None, window_mode=None):
-    shard_counts = None if shards is None else sorted({1, shards})
-    rows = harness.experiments.mesh_scaling(
-        shard_counts=shard_counts, jobs=jobs, cache=cache,
-        window_mode=window_mode or "adaptive")
-    return render_table(
-        ["shards", "mode", "Mrps", "p50 us", "p99 us", "windows",
-         "stretched", "skipped", "events", "parity"],
-        [(r["shards"], r["window_mode"], round(r["throughput_mrps"], 3),
-          round(r["p50_us"], 3), round(r["p99_us"], 3), r["windows"],
-          r["stretched_windows"], r["skipped_shard_rounds"],
-          r["events_total"],
-          "bit-identical" if r["parity"] else "DIVERGED")
-         for r in rows],
-        title="4-host full-mesh echo, serial vs sharded "
-              "(repro.sim.sharded; signatures must match byte-for-byte)",
-    )
-
-
-@_register("cluster",
-           "Rack-scale cluster: SLO attainment under skewed bursty load "
-           "with autoscaling")
-def _cluster(jobs=1, cache=True):
-    deadline_us = 500.0
-    rows = harness.experiments.cluster_slo(deadline_us=deadline_us,
-                                           jobs=jobs, cache=cache)
-    first = rows[0]
-    return render_slo_curve(
-        rows, deadline_us,
-        title=f"{first['app']} on {first['machines']} machines "
-              f"({first['policy']} balancing, {first['modulation']} "
-              "arrivals, Zipf-skewed sessions)",
-    )
-
-
-@_register("fig11-scale", "Fig 11 (right): thread scalability")
-def _fig11_scale(jobs=1, cache=True):
-    rows = harness.experiments.fig11_scalability(jobs=jobs, cache=cache)
-    return render_table(
-        ["threads", "e2e Mrps", "raw UPI Mrps"],
-        [(r["threads"], r["e2e_mrps"], r["raw_mrps"]) for r in rows],
-    )
-
-
-@_register("fig12", "Fig 12: memcached + MICA over Dagger")
-def _fig12(jobs=1, cache=True):
-    rows = harness.experiments.fig12_kvs(jobs=jobs, cache=cache)
-    return render_table(
-        ["system", "dataset", "p50 us", "p99 us", "thr 50%", "thr 95%"],
-        [(r["system"], r["dataset"], r["p50_us"], r["p99_us"],
-          r["thr_50get"], r["thr_95get"]) for r in rows],
-    )
-
-
-@_register("fig15", "Fig 15: Flight Registration latency/load curves")
-def _fig15(jobs=1, cache=True):
-    rows = harness.experiments.fig15_flight_curves(jobs=jobs, cache=cache)
-    return render_table(
-        ["load Krps", "thr Krps", "p50 us", "p99 us"],
-        [(r["load_krps"], r["throughput_krps"], r["p50_us"], r["p99_us"])
-         for r in rows],
-    )
-
-
-@_register("sec53", "Section 5.3: raw UPI vs PCIe access latency")
-def _sec53(jobs=1, cache=True):
-    del jobs, cache  # two fixed-latency probes, not a sweep
-    result = harness.experiments.sec53_raw_access()
-    return render_table(
-        ["interconnect", "paper ns", "measured ns"],
-        [("UPI", result["paper_upi_ns"], result["upi_ns"]),
-         ("PCIe DMA", result["paper_pcie_ns"], result["pcie_ns"])],
-    )
+def _positive(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_list(_args) -> int:
+    from repro.harness.experiments import CATALOGUE
+
     print(render_table(
         ["experiment", "reproduces"],
-        [(exp_id, description)
-         for exp_id, (description, _) in sorted(_REGISTRY.items())],
+        [(experiment.id, experiment.description) for experiment in CATALOGUE],
         title="Reproducible experiments (run with: python -m repro run <id>)",
     ))
     return 0
 
 
 def cmd_run(args) -> int:
-    targets = args.experiments
-    if "all" in targets:
-        targets = sorted(_REGISTRY)
-    unknown = [t for t in targets if t not in _REGISTRY]
+    from repro.harness import experiments
+
+    by_id = {experiment.id: experiment for experiment in experiments.CATALOGUE}
+    targets = list(by_id) if "all" in args.experiments else args.experiments
+    unknown = [t for t in targets if t not in by_id]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}; "
               "see `python -m repro list`", file=sys.stderr)
         return 2
-    shards = getattr(args, "shards", None)
-    window_mode = getattr(args, "window_mode", None)
+    failed = False
     for target in targets:
-        description, runner = _REGISTRY[target]
-        print(f"== {target}: {description}")
+        experiment = by_id[target]
+        print(f"== {target}: {experiment.description}")
         started = time.time()
-        kwargs = {"jobs": args.jobs, "cache": not args.no_cache}
-        # Only shard-aware experiments take the kwarg; forcing it on the
-        # others would turn `run all --shards N` into a TypeError.
-        parameters = inspect.signature(runner).parameters
-        if shards is not None and "shards" in parameters:
-            kwargs["shards"] = shards
-        if window_mode is not None and "window_mode" in parameters:
-            kwargs["window_mode"] = window_mode
-        print(runner(**kwargs))
+        options = {"jobs": args.jobs, "cache": not args.no_cache}
+        if experiment.sharded:
+            options.update(shards=args.shards, window_mode=args.window_mode)
+        try:
+            data = experiment.run(**options)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(experiment.render(data))
+        for claim in experiment.failures(data):
+            print(f"check failed: {target}: {claim}", file=sys.stderr)
+            failed = True
         print(f"   ({time.time() - started:.1f}s)\n")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_trace(args) -> int:
@@ -330,7 +127,7 @@ def cmd_trace(args) -> int:
         else:
             result = rig.closed_loop(window=args.window, nreq=args.nreq)
     except ValueError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_breakdown(
         result.breakdown,
@@ -355,7 +152,9 @@ def cmd_timeline(args) -> int:
         return _timeline_tenants(args)
 
     if args.report:
-        result = harness.experiments.fig11_bottleneck(
+        from repro.harness.experiments import fig11_bottleneck
+
+        result = fig11_bottleneck(
             loads_mrps=args.loads, batch_size=args.batch, nreq=args.nreq,
             jobs=args.jobs, cache=not args.no_cache,
         )
@@ -543,14 +342,15 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="run experiments by id")
     run_parser.add_argument("experiments", nargs="+",
                             help="experiment ids (or 'all')")
-    run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    run_parser.add_argument("--jobs", type=_positive, default=1, metavar="N",
                             help="fan sweep points across N worker "
                                  "processes (results are bit-identical "
                                  "to --jobs 1)")
     run_parser.add_argument("--no-cache", action="store_true",
                             help="ignore and do not update the sweep "
                                  "result cache")
-    run_parser.add_argument("--shards", type=int, default=None, metavar="N",
+    run_parser.add_argument("--shards", type=_positive, default=None,
+                            metavar="N",
                             help="run shard-aware experiments (e.g. 'mesh') "
                                  "with N parallel event-loop workers; "
                                  "results are bit-identical to --shards 1 "
@@ -619,7 +419,8 @@ def main(argv=None) -> int:
     timeline_parser.add_argument("--loads", type=float, nargs="+",
                                  default=None, metavar="MRPS",
                                  help="offered loads for --report")
-    timeline_parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    timeline_parser.add_argument("--jobs", type=_positive, default=1,
+                                 metavar="N",
                                  help="worker processes for --report")
     timeline_parser.add_argument("--no-cache", action="store_true",
                                  help="ignore the sweep result cache for "

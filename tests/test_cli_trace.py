@@ -33,3 +33,10 @@ def test_trace_command_open_loop(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Per-stage latency breakdown" in out
+
+
+def test_trace_bad_argument_errors_on_stderr(capsys):
+    assert main(["trace", "--nreq", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
