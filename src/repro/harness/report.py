@@ -1,12 +1,13 @@
 """Text rendering of paper-style tables.
 
-The benchmarks print these so a run's output can be compared side by side
-with the paper's tables and figures (EXPERIMENTS.md records both).
+The experiment catalogue (:mod:`repro.harness.experiments`) and the CLI
+print these, so a run's output can be compared side by side with the
+paper's tables and figures (EXPERIMENTS.md embeds the archived tables).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -174,16 +175,6 @@ def render_anomalies(report, limit: int = 15) -> str:
         verdict += f", owned by tenant {data['culprit_tenant']}"
     lines.append(verdict)
     return "\n".join(lines)
-
-
-def compare_row(name: str, paper: Optional[float], measured: float,
-                unit: str = "") -> str:
-    """One 'paper vs measured' line for EXPERIMENTS.md-style output."""
-    if paper is None:
-        return f"{name}: paper=N/A measured={measured:.2f}{unit}"
-    ratio = measured / paper if paper else float("inf")
-    return (f"{name}: paper={paper:.2f}{unit} measured={measured:.2f}{unit} "
-            f"(x{ratio:.2f})")
 
 
 def render_slo_curve(rows, deadline_us: float,

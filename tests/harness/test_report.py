@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.report import compare_row, render_table
+from repro.harness.report import render_table
 
 
 def test_render_table_alignment():
@@ -20,14 +20,3 @@ def test_render_table_ragged_row_rejected():
     with pytest.raises(ValueError):
         render_table(["a", "b"], [("only-one",)])
 
-
-def test_compare_row_with_paper_value():
-    line = compare_row("metric", 2.0, 2.4, unit="us")
-    assert "paper=2.00us" in line
-    assert "measured=2.40us" in line
-    assert "x1.20" in line
-
-
-def test_compare_row_without_paper_value():
-    line = compare_row("metric", None, 3.0)
-    assert "paper=N/A" in line
