@@ -30,33 +30,21 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__),
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.harness import experiments  # noqa: E402
-from repro.harness.report import (  # noqa: E402
-    render_bottleneck,
-    render_table,
-    render_tenant_utilization,
-)
+from repro.harness.report import render_tenant_utilization  # noqa: E402
 
 #: Noisy-tenant loads for the smoke: quiet baseline, mid, saturation.
 SMOKE_LOADS = [1.0, 6.0, 7.5]
 
 
 def build_report(result) -> str:
-    sections = [render_bottleneck(result["report"])]
-    sections.append(render_table(
-        ["steady tenant", "p99 us (quiet)", "p99 us (noisy)", "drift",
-         "isolated"],
-        [(r["tenant"], r["p99_us_at_min_noise"], r["p99_us_at_max_noise"],
-          f"{r['p99_drift']:+.1%}", "yes" if r["isolated"] else "NO")
-         for r in result["isolation"]],
-        title=f"Steady-tenant p99 while {result['noisy']} ramps "
-              f"{SMOKE_LOADS[0]} -> {SMOKE_LOADS[-1]} Mrps",
-    ))
+    fig14 = next(e for e in experiments.CATALOGUE
+                 if e.id == "fig14-isolation")
     loudest = result["points"][-1]
-    sections.append(render_tenant_utilization(
+    utilization = render_tenant_utilization(
         loudest["utilization"], loudest["tenants"],
         title=f"Per-tenant utilization at {loudest['offered_mrps']} Mrps",
-    ))
-    return "\n\n".join(sections) + "\n"
+    )
+    return f"{fig14.render(result)}\n\n{utilization}\n"
 
 
 def export_trace(path: str, noisy_mrps: float, nreq_total: int) -> int:
