@@ -49,11 +49,12 @@ def _positive(text: str) -> int:
 
 
 def cmd_list(_args) -> int:
-    from repro.harness.experiments import CATALOGUE
+    from repro.harness import experiments
 
     print(render_table(
         ["experiment", "reproduces"],
-        [(experiment.id, experiment.description) for experiment in CATALOGUE],
+        [(experiment.id, experiment.description)
+         for experiment in experiments.CATALOGUE],
         title="Reproducible experiments (run with: python -m repro run <id>)",
     ))
     return 0
