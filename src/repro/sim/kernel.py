@@ -14,14 +14,15 @@ Hot-path design (see docs/performance.md): a simulated RPC is dominated by
 the timeout/resume cycle, so the kernel avoids per-event overhead there.
 ``triggered``/``processed`` are plain slot attributes (no property
 indirection), scheduling is inlined into the trigger paths (one ``heappush``
-instead of a ``_schedule`` call), the run loops cache heap/bound-method
+instead of a scheduling helper), one dispatch loop (``_dispatch``, behind
+``run``, ``run_horizon`` and ``run_until_done``) caches heap/bound-method
 lookups in locals, and short-lived kernel-owned events are recycled through
 free lists instead of being reallocated:
 
 - :class:`Timeout` objects created via :meth:`Simulator.timeout` are
-  returned to a pool once the run loop has fired their callbacks. This is
-  safe because a timeout is single-shot and kernel-owned: every in-tree use
-  is ``yield sim.timeout(...)``, which drops the reference on resume.
+  returned to a pool once the dispatch loop has fired their callbacks. This
+  is safe because a timeout is single-shot and kernel-owned: every in-tree
+  use is ``yield sim.timeout(...)``, which drops the reference on resume.
 - Internal process-control events (spawn kick-off, post-processed wakeups,
   interrupt carriers) are pooled the same way via
   :meth:`Simulator._control_event`.
@@ -33,6 +34,7 @@ callbacks ran (e.g. completion gates).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional
@@ -44,6 +46,11 @@ _POOL_CAP = 4096
 
 #: ``Event._recyclable`` values: not pooled / Timeout pool / control pool.
 _NO_POOL, _TIMEOUT_POOL, _CONTROL_POOL = 0, 1, 2
+
+#: Horizon of a run with no stop time. An int, so that the dispatch loop's
+#: test of each heap head compares int with int (``float('inf')`` would
+#: make it an int-to-float comparison); simulated time never reaches it.
+_NO_HORIZON = 1 << 62
 
 #: Lazily bound Process class (avoids a circular import; resolved once by
 #: the first ``spawn`` instead of re-importing per call).
@@ -177,6 +184,11 @@ class Timeout(Event):
             sim._nowq.append(self)
 
 
+#: Gate of a run that stops only at its horizon or when nothing is
+#: scheduled: an event that never triggers.
+_NEVER = Event(None)
+
+
 class Simulator:
     """The event loop.
 
@@ -204,7 +216,7 @@ class Simulator:
         # Firing order stays exact: time only advances when this queue
         # is empty, so every heap entry due at the current time was
         # scheduled before everything queued here and fires first (see
-        # the pop logic in run()); within the queue, FIFO == scheduling
+        # the pop logic in _pop_next); within the queue, FIFO == scheduling
         # order. Heap entries keep a seq tie-break for equal times.
         self._nowq: deque = deque()
         self._seq: int = 0
@@ -212,15 +224,6 @@ class Simulator:
         self._control_free: list = []
 
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay:
-            heappush(self._heap, (self.now + delay, self._seq, event))
-            self._seq += 1
-        else:
-            self._nowq.append(event)
 
     def event(self) -> Event:
         """Create a new pending event (never pooled; safe to hold)."""
@@ -248,7 +251,7 @@ class Simulator:
 
         The caller must fully configure it (callbacks, trigger state) and
         must not expose it outside the kernel: it is recycled as soon as the
-        run loop has fired its callbacks.
+        dispatch loop has fired its callbacks.
         """
         free = self._control_free
         if free:
@@ -292,7 +295,7 @@ class Simulator:
         Raises :class:`SimulationError` when nothing is scheduled, like the
         kernel's other misuse paths (rather than leaking a bare
         ``IndexError`` from the heap). Events fired through ``step`` are
-        not recycled — only the batch run loops feed the pools.
+        not recycled — only the dispatch loop feeds the pools.
         """
         if not self._heap and not self._nowq:
             raise SimulationError("no scheduled events")
@@ -305,27 +308,30 @@ class Simulator:
         return self._heap[0][0] if self._heap else None
 
     def has_pending(self) -> bool:
-        """True when any event is scheduled (the run loop would continue).
+        """True when any event is scheduled (a run would continue).
 
         Used by self-terminating background processes (e.g. the telemetry
         sampler) to avoid keeping an otherwise-finished simulation alive.
         """
         return bool(self._nowq or self._heap)
 
-    def run(self, until: Optional[int] = None) -> None:
-        """Run until the heap drains or simulated time passes ``until``.
+    def _dispatch(self, horizon, gate) -> int:
+        """Fire events in exact order until one of three stops; count them.
 
-        When ``until`` is given, the clock is left exactly at ``until`` and
-        any events scheduled later stay on the heap (the simulator can be
-        resumed with another ``run`` call).
+        The one pop/dispatch/recycle loop: :meth:`run`, :meth:`run_horizon`
+        and :meth:`run_until_done` are entries over it. It stops before the
+        first event at or after the exclusive ``horizon``, as soon as
+        ``gate.triggered`` is set (tested before each event), or when
+        nothing is scheduled, and leaves the clock at the last event fired.
+        The horizon is tested on heap heads only: a now-queue event is due
+        at ``now``, which every entry keeps below the horizon.
+
+        The body inlines the dual-queue pop of :meth:`_pop_next`, the
+        single-callback dispatch of :meth:`Event._run_callbacks` and the
+        pool recycling: at one pooled event per timeout/resume cycle, the
+        method-call overhead of the factored versions is the single
+        largest kernel cost.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"until={until} is in the past (now={self.now})")
-        # The loop body inlines the dual-queue pop of _pop_next, the
-        # single-callback dispatch of Event._run_callbacks, and the pool
-        # recycling: at one pooled event per timeout/resume cycle, the
-        # method-call overhead of the factored versions is the single
-        # largest kernel cost.
         heap = self._heap
         nowq = self._nowq
         pop = heappop
@@ -333,7 +339,16 @@ class Simulator:
         tfree = self._timeout_free
         cfree = self._control_free
         now = self.now
+        count = 0
+        # ``while True`` with the gate tested inside, not ``while not
+        # gate.triggered``: CPython 3.11 specializes a function's bytecode
+        # only once its calls plus unconditional back-edges reach a
+        # warm-up count, and this function is called once per run. With
+        # a conditional back-edge, a million-event pump in a fresh
+        # interpreter ran unspecialized, about 1.5x slower.
         while True:
+            if gate.triggered:
+                break
             if nowq:
                 if heap and heap[0][0] <= now:
                     head = pop(heap)
@@ -343,13 +358,13 @@ class Simulator:
                     event = popleft()
             elif heap:
                 when = heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
+                if when >= horizon:
+                    break
                 event = pop(heap)[2]
                 now = self.now = when
             else:
                 break
+            count += 1
             callbacks = event.callbacks
             recyclable = event._recyclable
             if recyclable:
@@ -385,8 +400,25 @@ class Simulator:
                     event.processed = True
                     callbacks.clear()
                     callback(event)
-        if until is not None:
-            self.now = until
+        return count
+
+    def run(self, until: Optional[int] = None) -> None:
+        """Run until the heap drains or simulated time passes ``until``.
+
+        When ``until`` is given, the clock is left exactly at ``until`` and
+        any events scheduled later stay on the heap (the simulator can be
+        resumed with another ``run`` call).
+        """
+        if until is None:
+            self._dispatch(_NO_HORIZON, _NEVER)
+            return
+        if until < self.now:
+            raise SimulationError(f"until={until} is in the past (now={self.now})")
+        # An event at exactly ``until`` fires, so the exclusive horizon is
+        # the next float above it. ``until + 1`` would also fire an event
+        # at a float time such as ``until + 0.5``.
+        self._dispatch(math.nextafter(until, math.inf), _NEVER)
+        self.now = until
 
     def inject(self, when: int, action: Callable[[], None],
                seq_key: Optional[int] = None) -> None:
@@ -444,141 +476,25 @@ class Simulator:
         Returns the number of events dispatched in this window.
         """
         if horizon is None:
-            horizon = float("inf")
-        if self._nowq and self.now >= horizon:
+            horizon = _NO_HORIZON
+        elif self._nowq and self.now >= horizon:
             raise SimulationError(
                 f"horizon {horizon} is not ahead of pending work at {self.now}"
             )
-        # Same inlined pop/dispatch/recycle loop as run(); see the comment
-        # there. The only structural difference is the strict `< horizon`
-        # stop condition and the dispatched-event counter.
-        heap = self._heap
-        nowq = self._nowq
-        pop = heappop
-        popleft = nowq.popleft
-        tfree = self._timeout_free
-        cfree = self._control_free
-        now = self.now
-        count = 0
-        while True:
-            if nowq:
-                if heap and heap[0][0] <= now:
-                    head = pop(heap)
-                    now = self.now = head[0]
-                    event = head[2]
-                else:
-                    event = popleft()
-            elif heap:
-                when = heap[0][0]
-                if when >= horizon:
-                    break
-                event = pop(heap)[2]
-                now = self.now = when
-            else:
-                break
-            count += 1
-            callbacks = event.callbacks
-            recyclable = event._recyclable
-            if recyclable:
-                # Pooled single-shot event: dispatch without touching the
-                # ``processed`` flag (it is reset here anyway) and refile.
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                    event.processed = False
-                else:
-                    callbacks.clear()
-                    callback(event)
-                    if callbacks:
-                        callbacks.clear()
-                event.triggered = False
-                event.value = None
-                event._exception = None
-                free = tfree if recyclable == _TIMEOUT_POOL else cfree
-                if len(free) < _POOL_CAP:
-                    free.append(event)
-            elif not callbacks:
-                # No waiter, e.g. the exit of a process nobody joins. Test
-                # before the unpack, which would raise and catch here;
-                # _run_callbacks re-raises an unobserved process failure.
-                event._run_callbacks()
-            else:
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                else:
-                    event.processed = True
-                    callbacks.clear()
-                    callback(event)
-        return count
+        return self._dispatch(horizon, _NEVER)
 
     def run_until_done(self, process: "Process") -> Any:
         """Run until a given process finishes; return its value.
 
-        Raises the process's exception if it failed. Uses the same inlined
-        pop/dispatch/recycle loop as :meth:`run` (not per-event ``step()``
-        calls), keeping the deadlock :class:`SimulationError` behavior.
+        Raises the process's exception if it failed, and
+        :class:`SimulationError` if nothing is scheduled before it finishes
+        (a deadlock).
         """
-        heap = self._heap
-        nowq = self._nowq
-        pop = heappop
-        popleft = nowq.popleft
-        tfree = self._timeout_free
-        cfree = self._control_free
-        now = self.now
-        while not process.triggered:
-            if nowq:
-                if heap and heap[0][0] <= now:
-                    head = pop(heap)
-                    now = self.now = head[0]
-                    event = head[2]
-                else:
-                    event = popleft()
-            elif heap:
-                head = pop(heap)
-                now = self.now = head[0]
-                event = head[2]
-            else:
-                raise SimulationError(
-                    "event heap drained before process completed (deadlock?)"
-                )
-            callbacks = event.callbacks
-            recyclable = event._recyclable
-            if recyclable:
-                # Pooled single-shot event: dispatch without touching the
-                # ``processed`` flag (it is reset here anyway) and refile.
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                    event.processed = False
-                else:
-                    callbacks.clear()
-                    callback(event)
-                    if callbacks:
-                        callbacks.clear()
-                event.triggered = False
-                event.value = None
-                event._exception = None
-                free = tfree if recyclable == _TIMEOUT_POOL else cfree
-                if len(free) < _POOL_CAP:
-                    free.append(event)
-            elif not callbacks:
-                # No waiter, e.g. the exit of a process nobody joins. Test
-                # before the unpack, which would raise and catch here;
-                # _run_callbacks re-raises an unobserved process failure.
-                event._run_callbacks()
-            else:
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                else:
-                    event.processed = True
-                    callbacks.clear()
-                    callback(event)
+        self._dispatch(_NO_HORIZON, process)
+        if not process.triggered:
+            raise SimulationError(
+                "event heap drained before process completed (deadlock?)"
+            )
         if process._exception is not None:
             process.defuse()
             raise process._exception

@@ -15,7 +15,7 @@ method: the generator's bound ``send``/``throw`` are cached at spawn, the
 resume callback itself is cached (``_resume_bound``) so registering a
 waiter allocates nothing, kernel-pooled control events carry the
 start/wakeup/interrupt scheduling, and finish/schedule steps push straight
-onto the heap instead of going through ``Simulator._schedule``.
+onto the heap or the now-queue, with no scheduling helper in between.
 
 The cached callback is a bound method of the process, so it is also a
 reference cycle (process -> bound method -> process). Every exit path
@@ -70,8 +70,8 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         self._defused = False
         # Lazily created reusable wakeup event for int-delay yields; its
-        # value/_exception stay None forever and the run loop never resets
-        # or recycles it (_recyclable == _NO_POOL).
+        # value/_exception stay None forever and the dispatch loop never
+        # resets or recycles it (_recyclable == _NO_POOL).
         self._timer: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off on a zero-delay event so creation order == start order.

@@ -114,3 +114,153 @@ def test_bounded_store_drop_accounting(capacity, count):
     assert accepted == min(capacity, count)
     assert store.drops == count - accepted
     assert len(store) == accepted
+
+
+# -- the kernel's entry points agree -----------------------------------------
+#
+# One generated workload runs under every way of driving the kernel: run(),
+# run(until=...) slices, run_horizon windows, run_until_done and step().
+# Each must dispatch the same (now, who, step) trace.
+
+_SHARED_EVENTS = 3
+_FLOAT_DELAYS = (0.0, 0.5, 1.5, 2.25)
+
+_STEP = st.one_of(
+    st.tuples(st.just("delay"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("delay"), st.sampled_from(_FLOAT_DELAYS)),
+    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("wait"), st.integers(0, _SHARED_EVENTS - 1)),
+    st.tuples(st.just("fire"), st.integers(0, _SHARED_EVENTS - 1)),
+    st.tuples(st.just("join"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("inject"), st.integers(min_value=0, max_value=4)),
+)
+
+_WORKLOAD = st.fixed_dictionaries({
+    # Each process joins only processes spawned before it, and every
+    # shared event is fired by an inject, so every process finishes.
+    "processes": st.lists(st.lists(_STEP, max_size=6), min_size=1,
+                          max_size=5),
+    "fire_at": st.lists(st.integers(min_value=0, max_value=20),
+                        min_size=_SHARED_EVENTS, max_size=_SHARED_EVENTS),
+})
+
+
+def _build(workload):
+    """A fresh simulator running ``workload``; returns it, its processes
+    and the trace they append to."""
+    sim = Simulator()
+    trace = []
+    events = [sim.event() for _ in range(_SHARED_EVENTS)]
+    processes = []
+
+    def fire(index, who):
+        if not events[index].triggered:
+            events[index].succeed(who)
+
+    def injected(who, index):
+        trace.append((sim.now, who, index))
+
+    def body(pid, steps):
+        for index, (kind, arg) in enumerate(steps):
+            trace.append((sim.now, pid, index))
+            if kind == "delay":
+                yield arg
+            elif kind == "timeout":
+                yield sim.timeout(arg, value=index)
+            elif kind == "wait":
+                yield events[arg]
+            elif kind == "fire":
+                fire(arg, pid)
+            elif kind == "join":
+                if pid:
+                    yield processes[arg % pid]
+            else:
+                sim.inject(sim.now + arg,
+                           lambda i=index: injected(f"inject{pid}", i))
+        trace.append((sim.now, pid, "exit"))
+        return pid
+
+    for pid, steps in enumerate(workload["processes"]):
+        processes.append(sim.spawn(body(pid, steps)))
+
+    def orphan():  # an exit nobody joins
+        yield 1
+        trace.append((sim.now, "orphan", "exit"))
+
+    sim.spawn(orphan())
+    for index, when in enumerate(workload["fire_at"]):
+        sim.inject(when, lambda i=index: fire(i, "inject"))
+    return sim, processes, trace
+
+
+def _cuts(data, times, label):
+    """Non-decreasing stop times: ints, floats and event times."""
+    candidates = st.one_of(
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=30).map(lambda t: t + 0.5),
+        st.sampled_from(sorted(set(times)) or [1]),
+    )
+    return sorted(data.draw(st.lists(candidates, max_size=6), label=label))
+
+
+@given(workload=_WORKLOAD, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_run_entry_dispatches_the_same_trace(workload, data):
+    sim, processes, expected = _build(workload)
+    sim.run()
+    times = [now for now, _, _ in expected]
+    until_cuts = _cuts(data, times, "until cuts")
+    horizons = [h for h in _cuts(data, times, "horizons") if h > 0]
+    target = data.draw(st.integers(0, len(processes) - 1),
+                       label="run_until_done target")
+
+    # run(until=c) slices, then run().
+    sim, _, trace = _build(workload)
+    for cut in until_cuts:
+        sim.run(until=cut)
+        assert sim.now == cut
+        assert all(now <= cut for now, _, _ in trace)
+        assert sim.peek() is None or sim.peek() > cut
+    sim.run()
+    assert trace == expected
+
+    # run_horizon windows, then the drain grant.
+    sim, _, trace = _build(workload)
+    windows = []
+    for horizon in horizons:
+        windows.append(sim.run_horizon(horizon))
+        assert all(now < horizon for now, _, _ in trace)
+    windows.append(sim.run_horizon(None))
+    assert trace == expected
+
+    # run_until_done(p), then run().
+    sim, built, trace = _build(workload)
+    assert sim.run_until_done(built[target]) == target
+    sim.run()
+    assert trace == expected
+
+    # step() until nothing is scheduled.
+    sim, _, trace = _build(workload)
+    steps = 0
+    while sim.peek() is not None:
+        sim.step()
+        steps += 1
+    assert trace == expected
+    assert sum(windows) == steps
+
+
+def test_run_until_an_int_leaves_a_float_time_after_it_pending():
+    # Float delays are legal, so no int horizon such as ``until + 1`` can
+    # stand for "everything at or before ``until``".
+    sim = Simulator()
+    fired = []
+
+    def proc():
+        yield 0.5
+        fired.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run(until=0)
+    assert (sim.now, fired, sim.peek()) == (0, [], 0.5)
+    sim.run(until=0.5)
+    assert (sim.now, fired, sim.peek()) == (0.5, [0.5], None)
