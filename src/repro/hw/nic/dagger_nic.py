@@ -105,12 +105,11 @@ class DaggerNic:
             Store(sim, name=f"{address}-egress{i}")
             for i in range(self.hard.num_flows)
         ]
-        for flow_id in range(self.hard.num_flows):
-            sim.spawn(self._egress_sequencer(flow_id))
         # Control packets (ACK/NACK/CREDIT) use their own sequencer so a
         # data flow parked on credits can never block the protocol itself.
         self._control_queue = Store(sim, name=f"{address}-control")
-        sim.spawn(self._control_sequencer())
+        for queue in self._egress_queues + [self._control_queue]:
+            sim.spawn(self._egress_sequencer(queue))
 
         # §4.5 extensions: a hardware reliable transport and/or a
         # credit-based flow-control engine in the Protocol unit (both None
@@ -301,12 +300,15 @@ class DaggerNic:
         else:
             self._egress_queues[flow_id].try_put(packet)
 
-    def _egress_sequencer(self, flow_id: int) -> Generator:
-        # Body of egress_pipeline() inlined below (one delegated generator
-        # per transmitted packet otherwise); keep the two in sync. Every
-        # queueing station takes the zero-yield try_* fast path when
-        # uncontended and falls back to the evented wait otherwise.
-        queue = self._egress_queues[flow_id]
+    def _egress_sequencer(self, queue: Store) -> Generator:
+        """RPC unit (serializer) -> connection lookup -> transport -> wire,
+        for each packet of ``queue`` in order.
+
+        One sequencer per data flow and one for control packets, which
+        credit flow control lets through for free. Every queueing station
+        takes the zero-yield try_* fast path when uncontended and falls
+        back to the evented wait otherwise.
+        """
         get = queue.get
         try_get = queue.try_get
         pipeline = self.pipeline
@@ -374,49 +376,6 @@ class DaggerNic:
                 self.tracer.record_packet(packet, "wire_tx", sim.now)
             monitor.tx_rpcs += 1
             switch_send(packet.dst_address, packet)
-
-    def _control_sequencer(self) -> Generator:
-        queue = self._control_queue
-        get = queue.get
-        try_get = queue.try_get
-        while True:
-            packet = try_get()
-            if packet is None:
-                packet = yield get()
-            yield from self.egress_pipeline(packet)
-
-    def egress_pipeline(self, packet: RpcPacket) -> Generator:
-        """RPC unit (serializer) -> connection lookup -> transport -> wire."""
-        sim = self.sim
-        pipeline = self.pipeline
-        # pipeline.use(cycle) inlined: same grant/timeout/release events
-        # without a delegated generator per packet.
-        if not pipeline.try_acquire():
-            yield pipeline.request()
-        try:
-            yield self._cycle_ns
-        finally:
-            pipeline.release()
-        yield self._rpc_unit_ns
-        if self.hard.inline_crypto and packet.kind is not RpcKind.CONTROL:
-            yield self._crypto_ns(packet)
-        connection_manager = self.connection_manager
-        misses_before = connection_manager.cache.misses
-        entry = yield from connection_manager.lookup(packet.connection_id)
-        self.monitor.connection_misses += (
-            connection_manager.cache.misses - misses_before
-        )
-        if packet.kind is RpcKind.REQUEST:
-            packet.dst_address = entry.dest_address
-        if self.transport is not None:
-            self.transport.on_egress(packet)
-        yield self._transport_ns
-        yield from self.eth.transmit(packet.wire_bytes)
-        packet.stamp("wire_tx", self.sim.now)
-        if self.tracer is not None:
-            self.tracer.record_packet(packet, "wire_tx", self.sim.now)
-        self.monitor.tx_rpcs += 1
-        self.switch.send(packet.dst_address, packet)
 
     # -- ingress data path ---------------------------------------------------------
 
