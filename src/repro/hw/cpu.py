@@ -50,43 +50,6 @@ class Core:
         #: the jitter draw so the RNG stream is unchanged when healthy.
         self.slowdown = 1.0
 
-    def _jitter(self) -> int:
-        mean = self.calibration.cpu_jitter_mean_ns
-        if mean <= 0:
-            return 0
-        return int(self.rng.expovariate(1.0 / mean))
-
-    def execute(self, cost_ns: int, thread=None) -> Generator:
-        """Occupy one hardware thread slot for ``cost_ns`` of work.
-
-        The effective time inflates when the sibling SMT slot is also busy,
-        and under machine-wide LLC pressure from cache-heavy threads.
-        """
-        if cost_ns < 0:
-            raise ValueError(f"negative cost {cost_ns}")
-        if not self.slots.try_acquire():
-            yield self.slots.request()
-        self._active += 1
-        try:
-            calibration = self.calibration
-            scaled = cost_ns
-            if self._active >= 2:
-                scaled = int(cost_ns * calibration.smt_slowdown)
-            if self.llc_domain is not None:
-                scaled = int(scaled * self.llc_domain.multiplier_for(thread))
-            if self.slowdown != 1.0:
-                scaled = int(scaled * self.slowdown)
-            # Inlined _jitter(); must draw exactly when _jitter would so the
-            # per-core RNG stream (and thus every tail latency) is unchanged.
-            mean = calibration.cpu_jitter_mean_ns
-            if mean > 0:
-                scaled += int(self.rng.expovariate(1.0 / mean))
-            self.busy_ns += scaled
-            yield scaled
-        finally:
-            self._active -= 1
-            self.slots.release()
-
     @property
     def contended(self) -> bool:
         return self.slots.queue_length > 0
@@ -173,8 +136,8 @@ class SoftwareThread:
         self.ops += 1
 
     def exec(self, cost_ns: int) -> Generator:
-        # Same event sequence and RNG draws as Core.execute(cost_ns, self),
-        # without the delegated generator.
+        """Occupy a hardware thread slot of the core for a ``cost_ns`` burst
+        (scaled by :meth:`begin_exec`); hot call sites inline this."""
         if cost_ns < 0:
             raise ValueError(f"negative cost {cost_ns}")
         slots = self.core.slots

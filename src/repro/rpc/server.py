@@ -52,17 +52,7 @@ class HandlerContext:
 
     def exec(self, cost_ns: int) -> Generator:
         """Spend CPU time on the thread currently running the handler."""
-        if cost_ns < 0:
-            raise ValueError(f"negative cost {cost_ns}")
-        thread = self.thread
-        slots = thread.core.slots
-        if not slots.try_acquire():
-            yield slots.request()
-        scaled = thread.begin_exec(cost_ns)
-        try:
-            yield scaled
-        finally:
-            thread.end_exec()
+        return self.thread.exec(cost_ns)
 
     def defer(self, cost_ns: int) -> None:
         """Schedule post-response work on the handling thread.

@@ -19,7 +19,7 @@ def test_single_thread_runs_at_nominal_cost():
     finish = []
 
     def proc():
-        yield from core.execute(100)
+        yield from SoftwareThread(core).exec(100)
         finish.append(sim.now)
 
     sim.spawn(proc())
@@ -32,7 +32,7 @@ def test_two_smt_threads_inflate_cost():
     finishes = []
 
     def proc():
-        yield from core.execute(1000)
+        yield from SoftwareThread(core).exec(1000)
         finishes.append(sim.now)
 
     sim.spawn(proc())
@@ -49,7 +49,7 @@ def test_third_thread_queues_behind_smt_slots():
     finishes = []
 
     def proc(tag):
-        yield from core.execute(1000)
+        yield from SoftwareThread(core).exec(1000)
         finishes.append((tag, sim.now))
 
     for tag in range(3):
@@ -65,7 +65,7 @@ def test_smt1_core_serializes():
     finishes = []
 
     def proc():
-        yield from core.execute(100)
+        yield from SoftwareThread(core).exec(100)
         finishes.append(sim.now)
 
     sim.spawn(proc())
@@ -78,7 +78,7 @@ def test_busy_accounting():
     sim, core = make_core()
 
     def proc():
-        yield from core.execute(500)
+        yield from SoftwareThread(core).exec(500)
 
     sim.spawn(proc())
     sim.run()
@@ -89,7 +89,7 @@ def test_negative_cost_rejected():
     sim, core = make_core()
 
     def proc():
-        yield from core.execute(-5)
+        yield from SoftwareThread(core).exec(-5)
 
     with pytest.raises(ValueError):
         sim.run_until_done(sim.spawn(proc()))
@@ -108,8 +108,9 @@ def test_jitter_adds_time():
     finishes = []
 
     def proc():
+        thread = SoftwareThread(core)
         for _ in range(200):
-            yield from core.execute(100)
+            yield from thread.exec(100)
         finishes.append(sim.now)
 
     sim.spawn(proc())
@@ -138,7 +139,7 @@ def test_contended_flag():
     observed = []
 
     def holder():
-        yield from core.execute(100)
+        yield from SoftwareThread(core).exec(100)
 
     def prober():
         yield sim.timeout(10)
