@@ -1,7 +1,9 @@
 """Tests for the cheap experiment entry points (expensive ones are
 exercised by the benchmark suite)."""
 
+import pytest
 
+from repro.harness import experiments
 from repro.harness.experiments import (
     FIG10_PAPER,
     FIG12_PAPER,
@@ -9,6 +11,7 @@ from repro.harness.experiments import (
     TABLE4_PAPER,
     fig4_rpc_sizes,
     fig11_bottleneck,
+    mesh_scaling,
     sec53_raw_access,
     table1_resources,
 )
@@ -61,3 +64,13 @@ def test_paper_reference_tables_complete():
     assert len(FIG10_PAPER) == 7
     assert {k[0] for k in FIG12_PAPER} == {"memcached", "mica"}
     assert TABLE4_PAPER["optimized"]["max_krps"] == 48.0
+
+
+def test_mesh_scaling_rejects_more_shards_than_hosts_before_simulating(
+        monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep ran before the shard count check")
+
+    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+    with pytest.raises(ValueError, match=r"shards must be in \[1, 4\], got 5"):
+        mesh_scaling(shard_counts=[5])
