@@ -32,16 +32,20 @@ signature (throughput, p50, p99, count) is recorded too, so a speedup
 claim is only comparable between trees that produce bit-identical
 simulation results.
 
-With ``--baseline TREE`` (a checkout of an older revision), each round
-additionally times the identical echo run against that tree in a
-subprocess, interleaved with the current tree's rounds so machine-load
-drift hits both sides equally; the JSON then records the baseline medians
-and the speedup. The baseline must produce the same result signature —
-the speedup claim is only meaningful between bit-identical simulations —
-unless ``--allow-signature-change`` is passed for a deliberate
-re-baseline PR (one that changes equal-timestamp event interleaving, like
-the zero-yield fast paths); then both signatures are recorded instead so
-the divergence is explicit in the committed JSON.
+With ``--baseline TREE`` (a checkout of an older revision), ``--rounds``
+A/B rounds follow the sections. Each round times three runs on this tree
+and on that tree, each in a fresh subprocess, alternating which tree goes
+first, so that machine-load drift hits both sides equally. The three runs
+cover the kernel's three run entries: the pump (``run()``), the echo
+(``run_until_done``, through the load driver) and the serial 4-host mesh
+(``run_echo_mesh(hosts=4, shards=1)``, whose in-process windows call
+``run_horizon``). The JSON's ``baseline`` section records both sides'
+medians and the speedup of each run. The baseline must produce the same
+echo and mesh signatures — a speedup is only meaningful between
+bit-identical simulations — unless ``--allow-signature-change`` is passed
+for a deliberate re-baseline PR (one that changes equal-timestamp event
+interleaving, like the zero-yield fast paths); then the baseline's
+signatures are recorded too, so the divergence is explicit in the JSON.
 
 Usage::
 
@@ -63,6 +67,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__),
                                          "..", ".."))
@@ -125,29 +130,6 @@ def echo_once(nreq: int):
     return elapsed, signature
 
 
-_SUBPROCESS_SNIPPET = """\
-import json, time
-from repro.harness.runner import run_closed_loop
-run_closed_loop(batch_size=4, nreq={nreq})  # warmup
-t0 = time.perf_counter()
-r = run_closed_loop(batch_size=4, nreq={nreq})
-elapsed = time.perf_counter() - t0
-print(json.dumps({{"elapsed": elapsed, "signature":
-    [r.throughput_mrps, r.p50_us, r.p99_us, r.count]}}))
-"""
-
-
-def echo_subprocess(tree: str, nreq: int):
-    """Time the echo run against another source tree, same timed region."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SNIPPET.format(nreq=nreq)],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    payload = json.loads(out.splitlines()[-1])
-    return payload["elapsed"], tuple(payload["signature"])
-
-
 def mesh_once(shards: int, nreq_per_host: int,
               window_mode: str = "adaptive"):
     """Time one sharded mesh run; return (seconds, result)."""
@@ -156,6 +138,96 @@ def mesh_once(shards: int, nreq_per_host: int,
                            nreq_per_host=nreq_per_host,
                            window_mode=window_mode)
     return time.perf_counter() - started, result
+
+
+_AB_RUNS = ("pump", "echo", "mesh")
+
+
+def ab_once(name: str, nreq: int):
+    """One A/B run: (seconds, signature); the pump has no signature."""
+    if name == "pump":
+        return pump_once(), None
+    if name == "echo":
+        return echo_once(nreq)
+    seconds, result = mesh_once(1, MESH_NREQ_PER_HOST)
+    return seconds, mesh_signature(result)
+
+
+# Runs ab_once against another tree. ``repro`` is imported from that
+# tree's PYTHONPATH first, so every ``repro`` module bench_kernel imports
+# afterwards resolves inside that package, not in this checkout's src/.
+_SUBPROCESS_SNIPPET = """\
+import json, os, sys
+import repro
+assert repro.__file__.startswith(os.path.abspath({tree!r})), repro.__file__
+sys.path.insert(0, {here!r})
+from bench_kernel import ab_once
+ab_once({name!r}, {nreq})  # warmup
+seconds, signature = ab_once({name!r}, {nreq})
+print(json.dumps({{"elapsed": seconds, "signature": signature}}))
+"""
+
+
+def ab_subprocess(tree: str, name: str, nreq: int):
+    """Time one A/B run against another source tree, same timed region."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    snippet = _SUBPROCESS_SNIPPET.format(
+        tree=tree, here=os.path.dirname(os.path.abspath(__file__)),
+        name=name, nreq=nreq)
+    out = subprocess.run([sys.executable, "-c", snippet], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    payload = json.loads(out.splitlines()[-1])
+    signature = payload["signature"]
+    return payload["elapsed"], (tuple(signature)
+                                if isinstance(signature, list) else signature)
+
+
+def run_ab(tree: str, rounds: int, nreq: int,
+           allow_signature_change: bool) -> dict:
+    """The baseline section: interleaved A/B rounds of every run in
+    ``_AB_RUNS`` on this tree and on ``tree``.
+
+    Both sides run in a fresh subprocess after one warmup run: timed in
+    this long-lived process instead, the same tree read 1.38x on the pump
+    and 0.89x on the echo against itself.
+    """
+    sides = {"ours": partial(ab_subprocess, REPO_ROOT),
+             "theirs": partial(ab_subprocess, tree)}
+    times = {(side, name): [] for side in sides for name in _AB_RUNS}
+    signatures = {key: set() for key in times}
+    for round_index in range(rounds):
+        # Alternate which side runs first, so an order effect cancels.
+        order = list(sides.items())[::-1 if round_index % 2 else 1]
+        for name in _AB_RUNS:
+            for side, run in order:
+                seconds, signature = run(name, nreq)
+                times[side, name].append(seconds)
+                signatures[side, name].add(signature)
+    # Basename only: committed JSON must not leak local paths.
+    section = {"tree": scrub_path(tree)}
+    for name in _AB_RUNS:
+        ours, theirs = signatures["ours", name], signatures["theirs", name]
+        if len(ours) != 1 or len(theirs) != 1:
+            raise AssertionError(f"{name} run is non-deterministic: "
+                                 f"{sorted(ours)} vs {sorted(theirs)}")
+        mine = statistics.median(times["ours", name])
+        base = statistics.median(times["theirs", name])
+        section[name] = {
+            "median_s": round(mine, 4),
+            "baseline_median_s": round(base, 4),
+            "speedup_median": round(base / mine, 3),
+        }
+        if ours != theirs:
+            if not allow_signature_change:
+                raise AssertionError(
+                    f"baseline tree gives a different {name} result "
+                    f"({sorted(theirs)} vs {sorted(ours)}); a speedup "
+                    "between non-identical simulations is meaningless "
+                    "(pass --allow-signature-change only for a deliberate "
+                    "re-baseline)"
+                )
+            section[name]["baseline_signature"] = theirs.pop()
+    return section
 
 
 def mesh_window_reduction() -> dict:
@@ -252,8 +324,9 @@ def main(argv=None) -> int:
                                                       "BENCH_kernel.json"),
                         help="output JSON path (default repo root)")
     parser.add_argument("--baseline", metavar="TREE", default=None,
-                        help="older checkout to time against (interleaved "
-                             "rounds; records the speedup)")
+                        help="older checkout to time the pump, echo and "
+                             "serial mesh against (interleaved rounds; "
+                             "records each speedup)")
     parser.add_argument("--allow-signature-change", action="store_true",
                         help="accept a baseline with a different result "
                              "signature (deliberate re-baseline PRs only); "
@@ -273,9 +346,6 @@ def main(argv=None) -> int:
         unknown = scenarios - set(_SCENARIOS)
         if unknown:
             parser.error(f"unknown scenario(s): {', '.join(sorted(unknown))}")
-    if args.baseline and "echo" not in scenarios:
-        parser.error("--baseline times the echo scenario; include it in "
-                     "--scenario")
 
     # Sections not selected this invocation survive from the existing file,
     # so scenario-scoped runs append rather than clobber.
@@ -306,39 +376,18 @@ def main(argv=None) -> int:
         }
 
     if "echo" in scenarios:
-        report.pop("baseline", None)  # stale unless recomputed below
         echo_once(args.nreq)  # warmup
         echo_times = []
-        baseline_times = []
         echo_sigs = set()
-        baseline_sigs = set()
         for round_index in range(args.rounds):
             seconds, sig = echo_once(args.nreq)
             echo_times.append(seconds)
             echo_sigs.add(sig)
-            if args.baseline:
-                seconds, sig = echo_subprocess(args.baseline, args.nreq)
-                baseline_times.append(seconds)
-                baseline_sigs.add(sig)
         if len(echo_sigs) != 1:
             raise AssertionError(
                 f"echo benchmark is non-deterministic: {sorted(echo_sigs)}"
             )
         signature = echo_sigs.pop()
-        if args.baseline and baseline_sigs != {signature}:
-            if len(baseline_sigs) != 1:
-                raise AssertionError(
-                    f"baseline tree is non-deterministic: "
-                    f"{sorted(baseline_sigs)}"
-                )
-            if not args.allow_signature_change:
-                raise AssertionError(
-                    f"baseline tree produces different results "
-                    f"({sorted(baseline_sigs)} vs {signature}); "
-                    "a speedup between non-identical simulations is "
-                    "meaningless (pass --allow-signature-change only for a "
-                    "deliberate re-baseline)"
-                )
         report["echo"] = {
             "nreq": args.nreq,
             "median_s": round(statistics.median(echo_times), 4),
@@ -354,25 +403,10 @@ def main(argv=None) -> int:
     if "mesh" in scenarios:
         report["mesh"] = run_mesh_scenario(args.rounds, MESH_NREQ_PER_HOST)
 
+    report.pop("baseline", None)  # stale unless recomputed below
     if args.baseline:
-        baseline_median = statistics.median(baseline_times)
-        echo_median = statistics.median(echo_times)
-        report["baseline"] = {
-            # Basename only: committed JSON must not leak local paths.
-            "tree": scrub_path(args.baseline),
-            "median_s": round(baseline_median, 4),
-            "best_s": round(min(baseline_times), 4),
-            "speedup_median": round(baseline_median / echo_median, 3),
-            "speedup_best": round(min(baseline_times) / min(echo_times), 3),
-        }
-        baseline_sig = baseline_sigs.pop()
-        if baseline_sig != signature:
-            report["baseline"]["signature"] = {
-                "throughput_mrps": baseline_sig[0],
-                "p50_us": baseline_sig[1],
-                "p99_us": baseline_sig[2],
-                "count": baseline_sig[3],
-            }
+        report["baseline"] = run_ab(args.baseline, args.rounds, args.nreq,
+                                    args.allow_signature_change)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
