@@ -264,7 +264,6 @@ class DaggerNic:
         packet.src_address = self.address
         if packet.kind is RpcKind.REQUEST:
             packet.src_flow = flow_id
-        packet.stamp("sw_tx", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "sw_tx", self.sim.now)
         if self.interface.mode is TransferMode.PUSH:
@@ -288,7 +287,6 @@ class DaggerNic:
                        flow_id: int = 0) -> Generator:
         yield from self.interface.host_to_nic(lines)
         self.monitor.fetched_rpcs += 1
-        packet.stamp("nic_fetched", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "nic_fetched", self.sim.now)
         self.enqueue_egress(flow_id, packet)
@@ -371,7 +369,6 @@ class DaggerNic:
                 yield delay if delay > 1 else 1
             finally:
                 eth_port_release()
-            packet.stamp("wire_tx", sim.now)
             if self.tracer is not None:
                 self.tracer.record_packet(packet, "wire_tx", sim.now)
             monitor.tx_rpcs += 1
@@ -382,7 +379,6 @@ class DaggerNic:
     def ingress(self, packet: RpcPacket) -> None:
         """Switch-facing entry point (runs at packet arrival time)."""
         self.monitor.rx_rpcs += 1
-        packet.stamp("nic_rx", self.sim.now)
         if self.tracer is not None:
             self.tracer.record_packet(packet, "nic_rx", self.sim.now)
         if self.transport is not None:

@@ -107,7 +107,6 @@ class RxPath:
         tracer = nic.tracer
         for pkt in batch:
             nic.monitor.fetched_rpcs += 1
-            pkt.stamp("nic_fetched", nic.sim.now)
             if tracer is not None:
                 tracer.record_packet(pkt, "nic_fetched", nic.sim.now)
             nic.enqueue_egress(flow_id, pkt)

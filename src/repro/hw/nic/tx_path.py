@@ -165,7 +165,6 @@ class TxPath:
         transport = nic.transport
         if transport is None:
             for pkt in batch:
-                pkt.stamp("host_delivered", nic.sim.now)
                 if rings.rx_ring.try_put(pkt):
                     nic.monitor.delivered_rpcs += 1
                     if tracer is not None:
@@ -186,7 +185,6 @@ class TxPath:
                 continue
             if not transport.on_delivered(pkt):
                 continue  # duplicate: counted in TransportStats
-            pkt.stamp("host_delivered", nic.sim.now)
             assert rx_ring.try_put(pkt)
             nic.monitor.delivered_rpcs += 1
             if tracer is not None:

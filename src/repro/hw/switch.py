@@ -58,11 +58,11 @@ class ToRSwitch:
     def send(self, dst_address: str, packet: Any) -> None:
         """Forward ``packet`` to ``dst_address`` after the switch delay.
 
-        Both the perfect-wire path and the fault-injection path route
-        through :meth:`_schedule`, so the per-destination delay arithmetic
-        lives in exactly one place and the two paths cannot drift. Chaos
-        verdict accounting (``packets_dropped`` on a loss verdict, one
-        scheduled delivery per surviving copy) is unchanged.
+        The destination's ingress is called through
+        :meth:`~repro.sim.kernel.Simulator.call_after`. Chaos verdict
+        accounting: ``packets_dropped`` on a loss verdict, one scheduled
+        delivery per surviving copy, each after the switch delay plus the
+        copy's extra delay.
         """
         try:
             ingress = self._table[dst_address]
@@ -75,17 +75,9 @@ class ToRSwitch:
                 self.packets_dropped += 1
                 return
             for copy, extra_ns in deliveries:
-                self._schedule(ingress, copy, self.delay_ns + extra_ns)
+                self.sim.call_after(self.delay_ns + extra_ns, ingress, copy)
             return
-        self._schedule(ingress, packet, self.delay_ns)
-
-    def _schedule(self, ingress: Callable[[Any], None], packet: Any,
-                  delay_ns: int) -> None:
-        def _deliver():
-            yield delay_ns
-            ingress(packet)
-
-        self.sim.spawn(_deliver())
+        self.sim.call_after(self.delay_ns, ingress, packet)
 
 
 class ShardBoundary(ToRSwitch):
@@ -94,7 +86,7 @@ class ShardBoundary(ToRSwitch):
     In :mod:`repro.sim.sharded` every host owns a private
     :class:`~repro.sim.kernel.Simulator`, so the rack's single ToR object is
     replaced by one ``ShardBoundary`` per host: local destinations (same
-    host) are delivered through the ordinary :meth:`ToRSwitch._schedule`
+    host) are delivered through the ordinary :meth:`ToRSwitch.send`
     path, while packets for remote hosts are *captured* as timestamped
     egress records instead of being scheduled directly. The sharded engine
     drains the captures at each conservative-window barrier and injects them

@@ -12,8 +12,8 @@ attribute ``tracer = None``; hook sites guard with a single ``is not None``
 check, so the disabled path costs one attribute load per packet and no
 allocation.
 
-Trace points are first-wins (a retransmitted packet keeps its original
-timestamps), matching :meth:`repro.rpc.messages.RpcPacket.stamp`.
+Trace points are first-wins: a retransmitted or duplicated packet keeps
+its span's first time at every point it passes again.
 """
 
 from __future__ import annotations

@@ -180,11 +180,10 @@ class CreditFlowControl:
         elif self._sim is not None and self.flush_ns \
                 and key not in self._flush_armed:
             self._flush_armed.add(key)
-            self._sim.spawn(self._flush_timer(key))
+            self._sim.call_after(self.flush_ns, self._flush_timer, key)
 
-    def _flush_timer(self, key):
+    def _flush_timer(self, key) -> None:
         """Grant a sub-batch remainder the batching rule would sit on."""
-        yield self.flush_ns
         self._flush_armed.discard(key)
         if self._consumed.get(key, 0) > self._reported.get(key, 0):
             self.stats.reconcile_grants += 1

@@ -6,16 +6,16 @@ transport sends it through the switch, and the server ring delivers it to a
 dispatch thread. Request types are distinguished by the ``kind`` field that
 "is a part of every RPC packet" (section 4.4), making the stack symmetric.
 
-Timestamps are attached at named trace points so experiments can break
-latency into CPU / interconnect / NIC / network components (used heavily by
-the Fig 3 characterization).
+A packet carries no timestamps. The span tracer (:mod:`repro.obs.trace`)
+records each named trace point per RPC id when tracing is on, and the Fig 3
+latency breakdown is folded from its spans.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 HEADER_BYTES = 16  # rpc id, connection id, flow, kind, method id, length
 
@@ -41,7 +41,7 @@ class RpcPacket:
 
     __slots__ = ("kind", "connection_id", "method", "payload",
                  "payload_bytes", "src_address", "dst_address", "src_flow",
-                 "rpc_id", "lb_key", "seq", "timestamps")
+                 "rpc_id", "lb_key", "seq")
 
     def __init__(
         self,
@@ -56,7 +56,6 @@ class RpcPacket:
         rpc_id: Optional[int] = None,
         lb_key: Optional[int] = None,  # key hash for object-level LB
         seq: Optional[int] = None,  # per-connection seq (reliable transport)
-        timestamps: Optional[Dict[str, int]] = None,
     ):
         if payload_bytes < 0:
             raise ValueError(f"negative payload size {payload_bytes}")
@@ -71,7 +70,6 @@ class RpcPacket:
         self.rpc_id = next(_packet_ids) if rpc_id is None else rpc_id
         self.lb_key = lb_key
         self.seq = seq
-        self.timestamps = {} if timestamps is None else timestamps
 
     @property
     def wire_bytes(self) -> int:
@@ -83,17 +81,13 @@ class RpcPacket:
         # TX/RX cost paths and the property descriptor hop is measurable.
         return max(1, -(-(HEADER_BYTES + self.payload_bytes) // line_bytes))
 
-    def stamp(self, point: str, now: int) -> None:
-        """Record the first time the packet passes a named trace point."""
-        self.timestamps.setdefault(point, now)
-
     def clone(self) -> "RpcPacket":
         """Independent copy with the same identity (rpc_id, seq).
 
-        Retransmission and wire duplication must send a *distinct object*:
-        the original may still be aliased by an in-flight wire event, and
-        two deliveries sharing one mutable packet corrupt each other's
-        per-hop timestamps.
+        The send path writes a packet's addresses, flow and ``seq`` in
+        place, so a packet sent again must be a *distinct object*: a hedged
+        request clears its copy's ``seq`` to be numbered afresh while the
+        original stays in the retransmit buffer under its own.
         """
         return RpcPacket(
             kind=self.kind,
@@ -107,7 +101,6 @@ class RpcPacket:
             rpc_id=self.rpc_id,
             lb_key=self.lb_key,
             seq=self.seq,
-            timestamps=dict(self.timestamps),
         )
 
     def make_response(self, payload: Any, payload_bytes: int) -> "RpcPacket":

@@ -131,7 +131,6 @@ class RpcServerThread:
             packet = try_get()
             if packet is None:
                 packet = yield get()
-            packet.stamp("server_rx", sim.now)
             if self.tracer is not None:
                 self.tracer.record(packet.rpc_id, "req_dispatch",
                                    sim.now)

@@ -36,9 +36,10 @@ Design (gap NACKs, cumulative ACKs, timeout backstop):
   **SKIP** so the receiver closes the sequence hole and cumulative
   ACKing resumes past the abandoned seq.
 
-Retransmissions always send a *copy* of the buffered packet: the original
-object may still be aliased by an in-flight wire event, and two deliveries
-of the same mutable object corrupt per-hop timestamps.
+Retransmissions always send a *copy* of the buffered packet: the egress
+sequencer writes a request's destination in place from the connection
+table, and the copy keeps that write off the buffered original, which a
+later re-send or SKIP reads.
 
 Control packets are NIC-terminated: they traverse the wire and the ingress
 pipeline but never touch host rings — the host never sees the protocol.
@@ -285,12 +286,11 @@ class ReliableTransport:
         elif self._sim is not None and self.ack_flush_ns is not None \
                 and key not in self._flush_armed:
             self._flush_armed.add(key)
-            self._sim.spawn(self._ack_flush(key))
+            self._sim.call_after(self.ack_flush_ns, self._ack_flush, key)
         return True
 
-    def _ack_flush(self, key):
+    def _ack_flush(self, key) -> None:
         """Delayed ACK for tails that never reach ``ack_interval``."""
-        yield self.ack_flush_ns
         self._flush_armed.discard(key)
         if self._since_ack.get(key, 0) > 0:
             highest = self._delivered.get(key, -1)

@@ -24,7 +24,8 @@ free lists instead of being reallocated:
   is safe because a timeout is single-shot and kernel-owned: every in-tree
   use is ``yield sim.timeout(...)``, which drops the reference on resume.
 - Internal process-control events (spawn kick-off, post-processed wakeups,
-  interrupt carriers) are pooled the same way via
+  interrupt carriers) and the two events of each
+  :meth:`Simulator.call_after` are pooled the same way via
   :meth:`Simulator._control_event`.
 
 Events created with :meth:`Simulator.event` are *never* pooled — callers
@@ -189,6 +190,27 @@ class Timeout(Event):
 _NEVER = Event(None)
 
 
+def _arm_call(arm: Event) -> None:
+    """First half of :meth:`Simulator.call_after`: schedule the call."""
+    sim = arm.sim
+    fire = sim._control_event()
+    fire.callbacks.append(_fire_call)
+    fire.triggered = True
+    fire.value = call = arm.value
+    delay = call[0]
+    if delay:
+        heappush(sim._heap, (sim.now + delay, sim._seq, fire))
+        sim._seq += 1
+    else:
+        sim._nowq.append(fire)
+
+
+def _fire_call(fire: Event) -> None:
+    """Second half of :meth:`Simulator.call_after`: make the call."""
+    _, fn, arg = fire.value
+    fn(arg)
+
+
 class Simulator:
     """The event loop.
 
@@ -247,7 +269,7 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def _control_event(self) -> Event:
-        """A pooled kernel-internal event (process start/wakeup/interrupt).
+        """A pooled kernel-internal event (process control, ``call_after``).
 
         The caller must fully configure it (callbacks, trigger state) and
         must not expose it outside the kernel: it is recycled as soon as the
@@ -266,6 +288,24 @@ class Simulator:
         if _Process is None:
             from repro.sim.process import Process as _Process  # noqa: F811
         return _Process(self, generator, name)
+
+    def call_after(self, delay: int, fn: Callable[[Any], None],
+                   arg: Any) -> None:
+        """Call ``fn(arg)`` ``delay`` ns from now, without a process.
+
+        Fires in exactly the order a process spawned now as ``yield delay;
+        fn(arg)`` would run: a pooled zero-delay event queued behind
+        everything due now arms a second pooled event, which draws its
+        heap sequence number at the moment that process's timer would.
+        An exception raised by ``fn`` propagates out of the run.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative call_after delay: {delay}")
+        arm = self._control_event()
+        arm.callbacks.append(_arm_call)
+        arm.triggered = True
+        arm.value = (delay, fn, arg)
+        self._nowq.append(arm)
 
     # -- execution ----------------------------------------------------------
 

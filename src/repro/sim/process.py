@@ -9,9 +9,14 @@ exception thrown in). A process is itself an event that triggers when the
 generator returns, so processes can wait on each other by yielding the
 handle.
 
+A process's exit is dispatched as an event only when something waits on
+it. A process that returns with no joiner is marked processed at once,
+and a later ``yield proc`` takes the already-processed wakeup path. A
+failure is always dispatched, so that an unobserved one still raises.
+
 The resume path (``_resume`` -> ``generator.send``) runs once per simulated
 event and is the hottest code in the repository. It is written as one flat
-method: the generator's bound ``send``/``throw`` are cached at spawn, the
+method: the generator's bound ``send`` is cached at spawn, the
 resume callback itself is cached (``_resume_bound``) so registering a
 waiter allocates nothing, kernel-pooled control events carry the
 start/wakeup/interrupt scheduling, and finish/schedule steps push straight
@@ -44,13 +49,12 @@ from repro.sim.kernel import (
 class Process(Event):
     """Handle for a running process; also an event (triggers at exit)."""
 
-    __slots__ = ("_generator", "_send", "_throw", "_resume_bound",
-                 "_waiting_on", "name", "_defused", "_timer")
+    __slots__ = ("_generator", "_send", "_resume_bound", "_waiting_on",
+                 "_name", "_defused", "_timer")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         try:
             self._send = generator.send
-            self._throw = generator.throw
         except AttributeError:
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__} "
@@ -73,12 +77,17 @@ class Process(Event):
         # value/_exception stay None forever and the dispatch loop never
         # resets or recycles it (_recyclable == _NO_POOL).
         self._timer: Optional[Event] = None
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name
         # Kick off on a zero-delay event so creation order == start order.
         start = sim._control_event()
         start.callbacks.append(self._resume_bound)
         start.triggered = True
         sim._nowq.append(start)
+
+    @property
+    def name(self) -> str:
+        """The name given to ``spawn``, else the generator's name."""
+        return self._name or getattr(self._generator, "__name__", "process")
 
     @property
     def is_alive(self) -> bool:
@@ -132,7 +141,7 @@ class Process(Event):
             if exception is None:
                 target = self._send(event.value)
             else:
-                target = self._throw(exception)
+                target = self._generator.throw(exception)
         except StopIteration as stop:
             self.triggered = True
             self.value = stop.value
@@ -142,8 +151,11 @@ class Process(Event):
             # Python 3.12 links back to this frame: keeping it in a local
             # here would close a cycle.
             del exception
-            sim = self.sim
-            sim._nowq.append(self)
+            if self.callbacks:
+                self.sim._nowq.append(self)
+            else:
+                # Nothing waits on this exit: skip its dispatch.
+                self.processed = True
             return
         except Exception as exc:  # includes Interrupt
             self._finish_fail(exc)

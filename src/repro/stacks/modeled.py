@@ -156,21 +156,17 @@ class ModeledStack(RpcStack):
                     f"{self.address}"
                 )
             packet.dst_address = remote
-        packet.stamp("sw_tx", self.sim.now)
         wire_ns = self.params.oneway_ns + int(
             packet.payload_bytes * self.params.per_byte_ns
         )
         sim = self.sim
-
-        def _propagate():
-            yield sim.timeout(wire_ns)
-            self.switch.send(packet.dst_address, packet)
-
-        sim.spawn(_propagate())
+        sim.call_after(wire_ns, self._propagate, packet)
         yield sim.timeout(0)
 
+    def _propagate(self, packet: RpcPacket) -> None:
+        self.switch.send(packet.dst_address, packet)
+
     def _ingress(self, packet: RpcPacket) -> None:
-        packet.stamp("nic_rx", self.sim.now)
         if self.irq_threads and self.params.irq_cost_ns > 0:
             thread = self.irq_threads[self._next_irq % len(self.irq_threads)]
             self._next_irq += 1
@@ -193,7 +189,6 @@ class ModeledStack(RpcStack):
             pick = self._balancer.pick_flow(packet, len(port_ids))
             flow_id = port_ids[pick]
         port = self.port(flow_id)
-        packet.stamp("host_delivered", self.sim.now)
         if not port.rx_ring.try_put(packet):
             self.dropped += 1
 

@@ -9,6 +9,7 @@ from repro.hw.nic.dagger_nic import DaggerNic
 from repro.hw.nic.tx_path import RequestTable
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
+from repro.obs.trace import SpanTracer, attach_tracer
 from repro.rpc.messages import RpcKind, RpcPacket
 from repro.sim import Simulator
 
@@ -89,14 +90,17 @@ def test_request_travels_a_to_b():
 
 def test_packet_timestamps_in_order():
     sim, a, b = build_pair()
+    tracer = SpanTracer()
+    attach_tracer(tracer, (a, b))
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
     packet = RpcPacket(RpcKind.REQUEST, 1, "echo", b"", 64)
     send(sim, a, packet)
     sim.run()
-    stamps = packet.timestamps
-    assert (stamps["sw_tx"] <= stamps["nic_fetched"] <= stamps["wire_tx"]
-            <= stamps["nic_rx"] <= stamps["host_delivered"])
+    stamps = tracer.span(packet.rpc_id).events
+    assert (stamps["req_sw_tx"] <= stamps["req_nic_fetched"]
+            <= stamps["req_wire_tx"] <= stamps["req_nic_rx"]
+            <= stamps["req_host_delivered"])
 
 
 def test_response_steered_to_request_flow():
@@ -117,6 +121,8 @@ def test_response_steered_to_request_flow():
 
 def test_fixed_batch_waits_then_times_out():
     sim, a, b = build_pair(batch=4)
+    tracer = SpanTracer()
+    attach_tracer(tracer, (a,))
     a.soft.batch_timeout_ns = 2000
     a.open_connection(1, 0, "b")
     b.open_connection(1, 0, "a")
@@ -125,7 +131,7 @@ def test_fixed_batch_waits_then_times_out():
     sim.run()
     # Sent alone after the batch timeout, not stuck forever.
     assert b.monitor.delivered_rpcs == 1
-    assert packet.timestamps["nic_fetched"] >= 2000
+    assert tracer.span(packet.rpc_id).events["req_nic_fetched"] >= 2000
 
 
 def test_auto_batch_takes_whats_available():

@@ -121,8 +121,8 @@ class _StubFaults:
 
 
 def test_switch_fault_and_fast_paths_share_delay():
-    # Both paths route through _schedule: a fault verdict with zero extra
-    # delay must land at exactly the same time as the perfect wire.
+    # Both paths schedule through call_after: a fault verdict with zero
+    # extra delay must land at exactly the same time as the perfect wire.
     sim = Simulator()
     switch = ToRSwitch(sim, CAL)
     received = []

@@ -22,7 +22,7 @@ def test_record_builds_spans_in_rpc_id_order():
     assert tracer.span(7).e2e_ns is None
 
 
-def test_first_timestamp_wins_like_packet_stamp():
+def test_first_timestamp_wins_over_a_retransmit():
     tracer = SpanTracer()
     tracer.record(1, "req_wire_tx", 200)
     tracer.record(1, "req_wire_tx", 900)  # retransmit

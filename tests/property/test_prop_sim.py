@@ -120,7 +120,10 @@ def test_bounded_store_drop_accounting(capacity, count):
 #
 # One generated workload runs under every way of driving the kernel: run(),
 # run(until=...) slices, run_horizon windows, run_until_done and step().
-# Each must dispatch the same (now, who, step) trace.
+# Each must dispatch the same (now, who, step) trace. Every workload is
+# built twice, once with each ("after", d) step as sim.call_after(d, fn, x)
+# and once as a spawned ``yield d; fn(x)`` process, and both builds must
+# dispatch that same trace under every entry.
 
 _SHARED_EVENTS = 3
 _FLOAT_DELAYS = (0.0, 0.5, 1.5, 2.25)
@@ -133,6 +136,8 @@ _STEP = st.one_of(
     st.tuples(st.just("fire"), st.integers(0, _SHARED_EVENTS - 1)),
     st.tuples(st.just("join"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("inject"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("after"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("after"), st.sampled_from(_FLOAT_DELAYS)),
 )
 
 _WORKLOAD = st.fixed_dictionaries({
@@ -145,9 +150,10 @@ _WORKLOAD = st.fixed_dictionaries({
 })
 
 
-def _build(workload):
+def _build(workload, via_call_after):
     """A fresh simulator running ``workload``; returns it, its processes
-    and the trace they append to."""
+    and the trace they append to. ``via_call_after`` picks how the
+    ("after", d) steps run."""
     sim = Simulator()
     trace = []
     events = [sim.event() for _ in range(_SHARED_EVENTS)]
@@ -159,6 +165,13 @@ def _build(workload):
 
     def injected(who, index):
         trace.append((sim.now, who, index))
+
+    def called(tag):
+        trace.append((sim.now, "after", tag))
+
+    def delayed_call(delay, tag):  # the process call_after stands in for
+        yield delay
+        called(tag)
 
     def body(pid, steps):
         for index, (kind, arg) in enumerate(steps):
@@ -174,6 +187,11 @@ def _build(workload):
             elif kind == "join":
                 if pid:
                     yield processes[arg % pid]
+            elif kind == "after":
+                if via_call_after:
+                    sim.call_after(arg, called, (pid, index))
+                else:
+                    sim.spawn(delayed_call(arg, (pid, index)))
             else:
                 sim.inject(sim.now + arg,
                            lambda i=index: injected(f"inject{pid}", i))
@@ -206,7 +224,7 @@ def _cuts(data, times, label):
 @given(workload=_WORKLOAD, data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_every_run_entry_dispatches_the_same_trace(workload, data):
-    sim, processes, expected = _build(workload)
+    sim, processes, expected = _build(workload, via_call_after=False)
     sim.run()
     times = [now for now, _, _ in expected]
     until_cuts = _cuts(data, times, "until cuts")
@@ -214,39 +232,45 @@ def test_every_run_entry_dispatches_the_same_trace(workload, data):
     target = data.draw(st.integers(0, len(processes) - 1),
                        label="run_until_done target")
 
-    # run(until=c) slices, then run().
-    sim, _, trace = _build(workload)
-    for cut in until_cuts:
-        sim.run(until=cut)
-        assert sim.now == cut
-        assert all(now <= cut for now, _, _ in trace)
-        assert sim.peek() is None or sim.peek() > cut
-    sim.run()
-    assert trace == expected
+    for via_call_after in (False, True):
+        # run().
+        sim, _, trace = _build(workload, via_call_after)
+        sim.run()
+        assert trace == expected
 
-    # run_horizon windows, then the drain grant.
-    sim, _, trace = _build(workload)
-    windows = []
-    for horizon in horizons:
-        windows.append(sim.run_horizon(horizon))
-        assert all(now < horizon for now, _, _ in trace)
-    windows.append(sim.run_horizon(None))
-    assert trace == expected
+        # run(until=c) slices, then run().
+        sim, _, trace = _build(workload, via_call_after)
+        for cut in until_cuts:
+            sim.run(until=cut)
+            assert sim.now == cut
+            assert all(now <= cut for now, _, _ in trace)
+            assert sim.peek() is None or sim.peek() > cut
+        sim.run()
+        assert trace == expected
 
-    # run_until_done(p), then run().
-    sim, built, trace = _build(workload)
-    assert sim.run_until_done(built[target]) == target
-    sim.run()
-    assert trace == expected
+        # run_horizon windows, then the drain grant.
+        sim, _, trace = _build(workload, via_call_after)
+        windows = []
+        for horizon in horizons:
+            windows.append(sim.run_horizon(horizon))
+            assert all(now < horizon for now, _, _ in trace)
+        windows.append(sim.run_horizon(None))
+        assert trace == expected
 
-    # step() until nothing is scheduled.
-    sim, _, trace = _build(workload)
-    steps = 0
-    while sim.peek() is not None:
-        sim.step()
-        steps += 1
-    assert trace == expected
-    assert sum(windows) == steps
+        # run_until_done(p), then run().
+        sim, built, trace = _build(workload, via_call_after)
+        assert sim.run_until_done(built[target]) == target
+        sim.run()
+        assert trace == expected
+
+        # step() until nothing is scheduled.
+        sim, _, trace = _build(workload, via_call_after)
+        steps = 0
+        while sim.peek() is not None:
+            sim.step()
+            steps += 1
+        assert trace == expected
+        assert sum(windows) == steps
 
 
 def test_run_until_an_int_leaves_a_float_time_after_it_pending():

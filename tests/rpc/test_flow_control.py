@@ -16,6 +16,7 @@ from repro.hw.nic.dagger_nic import DaggerNic
 from repro.hw.nic.resources import estimate_resources
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
+from repro.obs.trace import SpanTracer, attach_tracer
 from repro.rpc.congestion import CREDIT_METHOD, CreditFlowControl
 from repro.rpc.messages import RpcKind, RpcPacket
 from repro.sim import Simulator
@@ -97,13 +98,15 @@ def test_no_drops_under_pressure():
 def test_sender_tracks_consumer_rate():
     sim, a, b, drained = build_pair(rx_entries=8, credits=8,
                                     drain_delay_ns=2000)
+    tracer = SpanTracer()
+    attach_tracer(tracer, (b,))
     send_all(sim, a, 30)
     sim.run()
     assert len(drained) == 30
     # Delivery pace is set by the consumer (~2 us per packet), not the NIC.
-    spacing = [drained[i + 1].timestamps["host_delivered"]
-               - drained[i].timestamps["host_delivered"]
-               for i in range(10, 25)]
+    delivered = [tracer.span(pkt.rpc_id).events["req_host_delivered"]
+                 for pkt in drained]
+    spacing = [delivered[i + 1] - delivered[i] for i in range(10, 25)]
     assert sum(spacing) / len(spacing) > 1500
 
 

@@ -28,13 +28,6 @@ def test_negative_payload_rejected():
         RpcPacket(RpcKind.REQUEST, 1, "m", b"", -1)
 
 
-def test_stamp_records_first_passage_only():
-    packet = RpcPacket(RpcKind.REQUEST, 1, "m", b"", 64)
-    packet.stamp("x", 100)
-    packet.stamp("x", 200)
-    assert packet.timestamps["x"] == 100
-
-
 def test_make_response_swaps_addresses_and_keeps_id():
     request = RpcPacket(RpcKind.REQUEST, 7, "get", b"req", 64,
                         src_address="client", dst_address="server",

@@ -1,4 +1,5 @@
-"""Additional kernel coverage: peek, Event.ok, process naming, fail API."""
+"""Additional kernel coverage: peek, Event.ok, process naming, fail API,
+late joiners and ``call_after``."""
 
 import pytest
 
@@ -75,3 +76,43 @@ def test_schedule_negative_delay_rejected():
     event = sim.event()
     with pytest.raises(SimulationError):
         event.succeed(delay=-1)
+
+
+@pytest.mark.parametrize("arrival", [1, 5])
+def test_joiner_after_return_resumes_with_the_value(arrival):
+    # The process returns at t=1 with nothing waiting on it; the joiner
+    # arrives afterwards, at the same timestamp or later.
+    sim = Simulator()
+
+    def quick():
+        yield 1
+        return "value"
+
+    def late_joiner():
+        yield arrival
+        assert not target.is_alive
+        result = yield target
+        return result, sim.now
+
+    target = sim.spawn(quick())
+    joiner = sim.spawn(late_joiner())
+    assert sim.run_until_done(joiner) == ("value", arrival)
+
+
+def test_call_after_rejects_a_negative_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="negative call_after delay: -1"):
+        sim.call_after(-1, print, "never")
+    assert sim.peek() is None
+
+
+def test_call_after_exception_leaves_run():
+    sim = Simulator()
+
+    def boom(arg):
+        raise ValueError(f"boom {arg}")
+
+    sim.call_after(3, boom, "x")
+    with pytest.raises(ValueError, match="boom x"):
+        sim.run()
+    assert sim.now == 3

@@ -426,8 +426,27 @@ def test_run_horizon_counts_dispatched_events():
             yield 10
 
     sim.spawn(ticker())
-    # spawn event + 5 timeouts + generator-exit event
-    assert sim.run_horizon(1000) == 7
+    # spawn event + 5 timeouts; an exit nobody joins is not an event
+    assert sim.run_horizon(1000) == 6
+
+
+def test_run_horizon_counts_a_joined_exit():
+    sim = Simulator()
+
+    def ticker():
+        for _ in range(5):
+            yield 10
+        return "done"
+
+    def joiner():
+        return (yield ticker_process)
+
+    ticker_process = sim.spawn(ticker())
+    joined = sim.spawn(joiner())
+    # two spawn events + 5 timeouts + the ticker's exit, which the joiner
+    # waits on; nothing joins the joiner, so its exit is not an event
+    assert sim.run_horizon(1000) == 8
+    assert joined.value == "done"
 
 
 def test_inject_rejects_past():
@@ -488,6 +507,7 @@ def test_run_horizon_none_drains_to_completion():
         fired.append(sim.now)
 
     sim.spawn(ticker())
-    assert sim.run_horizon(None) == 7
+    # spawn event + 5 timeouts; an exit nobody joins is not an event
+    assert sim.run_horizon(None) == 6
     assert fired == [5000]
     assert sim.peek() is None

@@ -138,7 +138,7 @@ DIGESTS = {
     chaos_loss:
         "751c42fc7363b9ef216d8e57b68b971b5b9a1331336f7f5f2ede29a243354b5b",
     mesh3:
-        "182da9275995fea4e24fa431ec93692a58ea34bd714c6302f61d0b6506a2845d",
+        "76f357d41e06f18defb66f6a3be054f01d0cf4fcc4188f5313cb84ecf25974b7",
     cluster_steady:
         "73d54627d15417247788ce55f903d46a3df77c5f99102c0401374dc21675ab86",
     flight:
