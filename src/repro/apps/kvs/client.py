@@ -24,7 +24,7 @@ from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.rpc.idl import load_idl
 from repro.sim import Exponential, LatencyRecorder, Simulator, Zipfian
 from repro.sim.distributions import make_rng
-from repro.stacks import DaggerStack, connect, make_stack
+from repro.stacks import connect, make_stack
 from repro.workloads.driver import LoadDriver, poisson_schedule
 
 _KVS_IDL_TEMPLATE = """
@@ -111,6 +111,30 @@ def make_kvs_servicer(namespace: Dict[str, Any], backend,
             return namespace["SetResponse"](ok=1)
 
     return KvsServicer()
+
+
+def kvs_backend(system: str, num_partitions: int):
+    """``(store, NIC balancer)`` for a KVS system: MICA's partitions are
+    steered by key (object-level), memcached's shared table round-robin."""
+    if system == "mica":
+        return MicaServer(num_partitions=num_partitions), "object-level"
+    if system == "memcached":
+        return MemcachedServer(), "round-robin"
+    raise ValueError(f"unknown KVS system {system!r}")
+
+
+def start_kvs_server(sim, calibration, system: str, namespace, backend,
+                     value_bytes: int, stack, threads) -> None:
+    """Serve ``backend`` with one dispatch thread per NIC flow of
+    ``stack``; thread ``i`` owns MICA partition ``i``."""
+    server = RpcThreadedServer(sim, calibration, name=system)
+    partition_of_thread = {thread: i for i, thread in enumerate(threads)}
+    make_kvs_servicer(namespace, backend, value_bytes,
+                      partition_of_thread).register(server)
+    for i, thread in enumerate(threads):
+        server.add_server_thread(stack.port(i), thread,
+                                 model=ThreadingModel.DISPATCH)
+    server.start()
 
 
 class KvsClient:
@@ -252,46 +276,22 @@ def run_kvs_workload(
     switch = ToRSwitch(sim, calibration, loopback=True)
     namespace = kvs_idl(key_bytes, value_bytes)
 
-    if system == "mica":
-        backend = MicaServer(num_partitions=num_threads)
-        default_lb = "object-level"
-    elif system == "memcached":
-        backend = MemcachedServer()
-        default_lb = "round-robin"
-    else:
-        raise ValueError(f"unknown KVS system {system!r}")
+    backend, default_lb = kvs_backend(system, num_threads)
     lb = load_balancer or default_lb
 
-    if stack_name == "dagger":
-        hard = NicHardConfig(num_flows=num_threads)
-        client_stack = DaggerStack(
-            machine, switch, "kvs-client", hard=hard,
-            soft=NicSoftConfig(batch_size=batch_size, auto_batch=True),
-        )
-        server_stack = DaggerStack(
-            machine, switch, "kvs-server", hard=hard,
-            soft=NicSoftConfig(batch_size=batch_size, auto_batch=True,
-                               load_balancer=lb),
-        )
-    else:
-        client_stack = make_stack(stack_name, machine, switch, "kvs-client")
-        server_stack = make_stack(
-            stack_name, machine, switch, "kvs-server", load_balancer=lb
-        )
-
-    server = RpcThreadedServer(sim, calibration, name=system)
-    server_threads = machine.threads(num_threads, start_core=6)
-    partition_of_thread = {
-        thread: i for i, thread in enumerate(server_threads)
-    }
-    servicer = make_kvs_servicer(
-        namespace, backend, value_bytes, partition_of_thread
+    hard = NicHardConfig(num_flows=num_threads)
+    client_stack = make_stack(
+        stack_name, machine, switch, "kvs-client", hard=hard,
+        soft=NicSoftConfig(batch_size=batch_size, auto_batch=True),
     )
-    servicer.register(server)
-    for i, thread in enumerate(server_threads):
-        server.add_server_thread(server_stack.port(i), thread,
-                                 model=ThreadingModel.DISPATCH)
-    server.start()
+    server_stack = make_stack(
+        stack_name, machine, switch, "kvs-server", hard=hard,
+        soft=NicSoftConfig(batch_size=batch_size, auto_batch=True,
+                           load_balancer=lb),
+    )
+    start_kvs_server(sim, calibration, system, namespace, backend,
+                     value_bytes, server_stack,
+                     machine.threads(num_threads, start_core=6))
 
     client_threads = machine.threads(num_threads, start_core=0)
     if model_llc_contention:

@@ -20,16 +20,15 @@ from repro.apps.kvs.client import (
     drive_ops,
     encode_key,
     generate_ops,
+    kvs_backend,
     kvs_idl,
-    make_kvs_servicer,
     make_value,
+    start_kvs_server,
 )
-from repro.apps.kvs.memcached import MemcachedServer
-from repro.apps.kvs.mica import MicaServer
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cluster import Cluster
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
-from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
+from repro.rpc import RpcClient
 from repro.sim import LatencyRecorder, Simulator
 from repro.stacks import DaggerStack, connect
 
@@ -74,30 +73,16 @@ def run_kvs_multicore(
     server_machine = cluster.machine(0)
     namespace = kvs_idl(key_bytes, value_bytes)
 
-    if system == "mica":
-        backend = MicaServer(num_partitions=server_threads)
-        balancer = "object-level"
-    elif system == "memcached":
-        backend = MemcachedServer()
-        balancer = "round-robin"
-    else:
-        raise ValueError(f"unknown KVS system {system!r}")
-
+    backend, balancer = kvs_backend(system, server_threads)
     server_stack = DaggerStack(
         server_machine, cluster.switch, "kvs-server",
         hard=NicHardConfig(num_flows=server_threads, rx_ring_entries=256),
         soft=NicSoftConfig(batch_size=batch_size, auto_batch=True,
                            load_balancer=balancer),
     )
-    server = RpcThreadedServer(sim, calibration, name=system)
-    server_thread_objs = server_machine.threads(server_threads, start_core=0)
-    partition_of_thread = {t: i for i, t in enumerate(server_thread_objs)}
-    make_kvs_servicer(namespace, backend, value_bytes,
-                      partition_of_thread).register(server)
-    for i, thread in enumerate(server_thread_objs):
-        server.add_server_thread(server_stack.port(i), thread,
-                                 model=ThreadingModel.DISPATCH)
-    server.start()
+    start_kvs_server(sim, calibration, system, namespace, backend,
+                     value_bytes, server_stack,
+                     server_machine.threads(server_threads, start_core=0))
 
     # Client fleet: one thread per server thread, spread across machines.
     clients: List[KvsClient] = []

@@ -2,8 +2,10 @@
 
 - :mod:`repro.apps.microservices.tier` / :mod:`graph` — a declarative
   framework: tiers are specs (threads, threading model, per-method compute
-  and fanout), the graph builder gives each tier its own NIC instance on
-  the shared FPGA (Fig 14) and wires connections.
+  and fanout); a ``Microservice`` is one deployed copy of a spec with its
+  own NIC instance on the shared FPGA (Fig 14) and wired connections. The
+  graph deploys one copy per tier on one machine; the rack-scale cluster
+  (:mod:`repro.harness.cluster`) deploys replica pools of the same class.
 - :mod:`repro.apps.microservices.social_network` / :mod:`media` — the
   DeathStarBench Social Network and Media Serving topologies (Figs 1-2)
   used for the section 3 characterization.

@@ -1,34 +1,39 @@
 """Service-graph builder and load driver.
 
-Builds every tier of an application on one machine — each tier with its own
-NIC instance on the shared FPGA, connected through the static-table ToR
-switch, exactly the virtualized deployment of Fig 14 — then drives an
-open-loop request mix at the entry tier and collects end-to-end latency
-plus per-tier traces.
+Deploys one copy of every tier of an application on one machine (a
+:class:`~repro.apps.microservices.tier.Microservice` each) — each tier
+with its own NIC instance on the shared FPGA, connected through the
+static-table ToR switch, exactly the virtualized deployment of Fig 14 —
+then drives an open-loop request mix at the entry tier and collects
+end-to-end latency plus per-tier traces. Threads are placed round-robin
+over the machine's cores unless a spec pins them (``TierSpec.cores``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.apps.microservices.tier import (
-    MethodSpec,
     Microservice,
     TierSpec,
+    deploy_load_generator,
     resolve_mix,
 )
 from repro.apps.microservices.tracing import Tracer
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import Machine, MachineConfig
 from repro.hw.switch import ToRSwitch
-from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.sim import Exponential, LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
-from repro.stacks import DaggerStack, connect, make_stack
 from repro.workloads.driver import LoadDriver, poisson_schedule, split_quota
+
+
+def _own_client(tier: Microservice, thread, target: str):
+    """The graph's route: the calling thread's own client, whose one
+    connection reaches the target's only copy."""
+    return tier.client_for(thread, target), None, None
 
 
 class ThreadAllocator:
@@ -78,10 +83,13 @@ class ServiceGraph:
         )
         self.switch = ToRSwitch(self.sim, calibration, loopback=loopback)
         self.allocator = ThreadAllocator(self.machine)
+        self.specs: Dict[str, TierSpec] = {}
+        #: Tier name -> its deployed copy, filled by :meth:`build`.
         self.tiers: Dict[str, Microservice] = {}
         self.tracer = Tracer(*self._transport_profile(stack_name))
         self.rng = make_rng(seed)
         self._built = False
+        self._ran = False
 
     def _transport_profile(self, stack_name: str) -> Tuple[int, int]:
         """(oneway_ns, cpu_ns) of the *transport* (TCP/IP) layer only.
@@ -103,39 +111,17 @@ class ServiceGraph:
 
     # -- construction -----------------------------------------------------------
 
-    def add_tier(self, spec: TierSpec) -> Microservice:
+    def add_tier(self, spec: TierSpec) -> None:
         if self._built:
             raise RuntimeError("graph already built")
-        if spec.name in self.tiers:
+        if spec.name in self.specs:
             raise ValueError(f"duplicate tier name {spec.name!r}")
-        microservice = Microservice(spec, self)
-        self.tiers[spec.name] = microservice
-        return microservice
+        self.specs[spec.name] = spec
 
     def _core_for(self, spec: TierSpec, index: int) -> Optional[int]:
         if spec.cores is None:
             return None
         return spec.cores[index % len(spec.cores)]
-
-    def _make_stack(self, name: str, num_flows: int, spec: TierSpec):
-        if self.stack_name == "dagger":
-            hard = NicHardConfig(
-                num_flows=max(1, num_flows),
-                rx_ring_entries=256,
-            )
-            soft = NicSoftConfig(
-                batch_size=spec.batch_size,
-                auto_batch=spec.auto_batch,
-                active_flows=spec.num_dispatch_threads,
-                load_balancer=spec.load_balancer,
-            )
-            return DaggerStack(self.machine, self.switch, name,
-                               hard=hard, soft=soft)
-        stack = make_stack(self.stack_name, self.machine, self.switch, name,
-                           num_ports=max(1, num_flows),
-                           load_balancer=spec.load_balancer)
-        stack.server_ports = list(range(spec.num_dispatch_threads))
-        return stack
 
     def build(self) -> None:
         """Instantiate stacks, servers, threads, clients, connections."""
@@ -143,63 +129,37 @@ class ServiceGraph:
             raise RuntimeError("graph already built")
         self._built = True
         # validate targets first
-        for microservice in self.tiers.values():
-            for target in microservice.spec.downstream_targets:
-                if target not in self.tiers:
+        for spec in self.specs.values():
+            for target in spec.downstream_targets:
+                if target not in self.specs:
                     raise ValueError(
-                        f"tier {microservice.name}: unknown downstream "
+                        f"tier {spec.name}: unknown downstream "
                         f"tier {target!r}"
                     )
-        for microservice in self.tiers.values():
-            spec = microservice.spec
-            microservice.stack = self._make_stack(
-                spec.name, microservice.required_flows(), spec
-            )
-            server = RpcThreadedServer(self.sim, self.calibration,
-                                       name=spec.name)
-            microservice.server = server
-            for method_name, method_spec in spec.methods.items():
-                if isinstance(method_spec, MethodSpec):
-                    handler = microservice.make_handler(
-                        method_name, method_spec
-                    )
-                else:
-                    handler = method_spec  # custom handler function
-                server.register_handler(method_name, handler)
-            for i in range(spec.num_workers):
-                microservice.worker_threads.append(self.allocator.alloc(
-                    f"{spec.name}-worker{i}", core=self._core_for(spec, i)
-                ))
-            for i in range(spec.num_dispatch_threads):
-                thread = self.allocator.alloc(
+        for spec in self.specs.values():
+            workers = [
+                self.allocator.alloc(f"{spec.name}-worker{i}",
+                                     core=self._core_for(spec, i))
+                for i in range(spec.num_workers)
+            ]
+            dispatchers = [
+                self.allocator.alloc(
                     f"{spec.name}-dispatch{i}",
                     core=self._core_for(spec, spec.num_workers + i),
                 )
-                microservice.dispatch_threads.append(thread)
-                server.add_server_thread(
-                    microservice.stack.port(i),
-                    thread,
-                    model=spec.threading,
-                    workers=(microservice.worker_threads
-                             if spec.threading is ThreadingModel.WORKER
-                             else None),
-                )
+                for i in range(spec.num_dispatch_threads)
+            ]
+            self.tiers[spec.name] = Microservice(
+                spec, self.stack_name, self.machine, self.switch, spec.name,
+                worker_threads=workers, dispatch_threads=dispatchers,
+                rng=self.rng, route=_own_client, tracer=self.tracer,
+            )
         # downstream clients (needs all stacks to exist)
-        for microservice in self.tiers.values():
-            for thread in microservice.handler_threads:
-                per_target: Dict[str, RpcClient] = {}
-                for target in microservice.spec.downstream_targets:
-                    flow = microservice.alloc_client_flow()
-                    connection = connect(
-                        microservice.stack, flow, self.tiers[target].stack, 0
-                    )
-                    per_target[target] = RpcClient(
-                        microservice.stack.port(flow), thread, connection,
-                        name=f"{microservice.name}->{target}",
-                    )
-                microservice.clients[thread] = per_target
-        for microservice in self.tiers.values():
-            microservice.server.start()
+        copies = {name: [tier] for name, tier in self.tiers.items()}
+        for tier in self.tiers.values():
+            tier.wire(copies)
+        for tier in self.tiers.values():
+            tier.server.start()
 
     @property
     def drops(self) -> int:
@@ -223,61 +183,40 @@ class ServiceGraph:
 
         ``method_mix`` keys are method names on ``entry_tier``, or
         ``"tier.method"`` keys to spread load over several entry tiers
-        (the Flight app drives both front-ends at once).
+        (the Flight app drives both front-ends at once). A graph runs
+        once: build a fresh one for another run.
         """
+        if self._ran:
+            raise RuntimeError("graph already ran (build a fresh one)")
+        self._ran = True
+        if nreq < 1:
+            raise ValueError(f"nreq must be >= 1, got {nreq}")
+        if load_krps <= 0:
+            raise ValueError(f"load_krps must be positive, got {load_krps}")
+        entries = resolve_mix(method_mix, entry_tier, self.specs)
+        entry_tiers = sorted({tier for tier, _ in entries.values()})
+        methods = list(method_mix)
+        weights = [method_mix[m] for m in methods]
+        if sum(weights) <= 0:
+            raise ValueError("method mix weights must sum to > 0")
         if not self._built:
             self.build()
-        if load_krps <= 0:
-            raise ValueError(f"load must be positive, got {load_krps}")
-        entries = resolve_mix(
-            method_mix, entry_tier,
-            {name: ms.spec for name, ms in self.tiers.items()},
-        )
-        entry_tiers = sorted({tier for tier, _ in entries.values()})
 
         sim = self.sim
         rng = make_rng(seed)
         # External load generator: its own NIC + threads (the "Client" box).
-        flows_needed = num_load_threads * len(entry_tiers)
-        if self.stack_name == "dagger":
-            loadgen_stack = DaggerStack(
-                self.machine, self.switch, "loadgen",
-                hard=NicHardConfig(num_flows=flows_needed,
-                                   rx_ring_entries=512),
-                soft=NicSoftConfig(batch_size=1, auto_batch=True),
-            )
-        else:
-            loadgen_stack = make_stack(
-                self.stack_name, self.machine, self.switch, "loadgen",
-                num_ports=flows_needed,
-            )
-        # One RpcClient per (loadgen thread, entry tier).
-        clients: List[Dict[str, RpcClient]] = []
-        next_flow = 0
-        for i in range(num_load_threads):
-            thread = self.allocator.alloc(f"loadgen{i}")
-            per_tier: Dict[str, RpcClient] = {}
-            for tier_name in entry_tiers:
-                connection = connect(
-                    loadgen_stack, next_flow, self.tiers[tier_name].stack, 0
-                )
-                per_tier[tier_name] = RpcClient(
-                    loadgen_stack.port(next_flow), thread, connection
-                )
-                next_flow += 1
-            clients.append(per_tier)
-
-        methods = list(method_mix)
-        weights = [method_mix[m] for m in methods]
-        total_weight = sum(weights)
-        if total_weight <= 0:
-            raise ValueError("method mix weights must sum to > 0")
+        loadgen_stack, lanes = deploy_load_generator(
+            self.stack_name, self.machine, self.switch, num_load_threads,
+            lambda count: [self.allocator.alloc(f"loadgen{i}")
+                           for i in range(count)],
+            {name: [self.tiers[name]] for name in entry_tiers},
+        )
         recorder = LatencyRecorder(warmup_ns=warmup_ns)
         driver = LoadDriver(sim, nreq, [
-            client for per_tier in clients for client in per_tier.values()
+            client for lane in lanes for client, _ in lane.values()
         ])
         interarrival = Exponential(
-            mean=1e6 / load_krps * len(clients), rng=seed + 1
+            mean=1e6 / load_krps * len(lanes), rng=seed + 1
         )
 
         def payload_size(method: str) -> int:
@@ -285,7 +224,7 @@ class ServiceGraph:
                 return entry_payload_bytes.get(method, 64)
             return entry_payload_bytes
 
-        def issue(per_tier: Dict[str, RpcClient], intended: int):
+        def issue(lane, intended: int):
             # Past saturation the generator falls behind its schedule;
             # measuring from issue time (as the paper's generator does)
             # keeps the median meaningful while the tail soars (Fig 15).
@@ -298,21 +237,24 @@ class ServiceGraph:
                 self.tracer.record_e2e(call.completed_at - arrival)
                 driver.complete()
 
-            return per_tier[tier_name].call_async(
+            client, _ = lane[tier_name]
+            return client.call_async(
                 method, b"", payload_size(mix_key), callback=on_complete
             )
 
-        for per_tier, quota in zip(clients,
-                                   split_quota(nreq, len(clients))):
+        for lane, quota in zip(lanes, split_quota(nreq, len(lanes))):
             driver.open_lane(poisson_schedule(
-                interarrival, repeat(per_tier, quota), sim.now), issue)
+                interarrival, repeat(lane, quota), sim.now), issue)
         driver.run()
 
         drops = self.drops + loadgen_stack.drops
         total = recorder.count + recorder.discarded
         stats = recorder.summary()
+        # Throughput needs a measurement window; one sample has none.
+        throughput_krps = (recorder.throughput_rps() / 1e3
+                           if recorder.count >= 2 else 0.0)
         return GraphResult(
-            throughput_krps=recorder.throughput_rps() / 1e3,
+            throughput_krps=throughput_krps,
             p50_us=stats.p50_us,
             p90_us=stats.p90_us,
             p99_us=stats.p99_us,

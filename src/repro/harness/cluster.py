@@ -8,8 +8,10 @@ at rack scale:
   dedicated load-generator machine) from :class:`repro.hw.cluster.Cluster`
   behind the ToR fabric, and builds each tier as a **replica pool**: up to
   ``max_replicas`` fully-wired replicas per tier, spread round-robin
-  across machines, each with its own NIC instance, RPC server, and
-  dedicated cores (so per-replica ``Usage`` integrals are clean signals);
+  across machines, each a copy of the tier built by the service graph's
+  own class (:class:`~repro.apps.microservices.tier.Microservice`) with
+  its own NIC instance, RPC server, and dedicated cores (so per-replica
+  ``Usage`` integrals are clean signals);
 - a seeded :class:`LoadBalancer` picks a replica per call — policies
   ``round-robin``, ``least-outstanding`` and ``p2c``
   (power-of-two-choices);
@@ -51,19 +53,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.apps.microservices.tier import (
     MethodSpec,
+    Microservice,
     TierSpec,
+    deploy_load_generator,
     resolve_mix,
-    sample_size,
 )
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cluster import Cluster
-from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import MachineConfig
-from repro.rpc import RpcClient, RpcThreadedServer, ThreadingModel
 from repro.sim import LatencyRecorder, Simulator
 from repro.sim.distributions import make_rng
 from repro.sim.stats import _check_mode, canonical_json
-from repro.stacks import DaggerStack, connect
 from repro.workloads.driver import LoadDriver
 from repro.workloads.sessions import (
     MODULATIONS,
@@ -144,38 +144,15 @@ class AutoscalerConfig:
             raise ValueError("cooldown must be >= 0")
 
 
-class Replica:
-    """One deployed copy of a tier: stack + server + threads on one machine."""
+class Replica(Microservice):
+    """One replica: a deployed copy of its tier on dedicated cores of one
+    machine, whose ``Usage`` integrals are the autoscaler's load signal."""
 
-    def __init__(self, spec: TierSpec, index: int, machine_id: int):
-        self.spec = spec
-        self.index = index
+    def __init__(self, machine_id: int, cores: List, *args, **kwargs):
         self.machine_id = machine_id
-        self.address = f"{spec.name}.{index}"
-        self.stack: Optional[DaggerStack] = None
-        self.server: Optional[RpcThreadedServer] = None
-        self.cores: List = []
-        self.dispatch_threads: List = []
-        self.worker_threads: List = []
-        #: thread -> target tier -> (RpcClient, conn id per target replica)
-        self.clients: Dict[object, Dict[str, Tuple[RpcClient, List[int]]]] = {}
-        self._usages: List[Tuple[object, object]] = []  # (usage, core)
-        self._next_client_flow = spec.num_dispatch_threads
-
-    @property
-    def num_threads(self) -> int:
-        return self.spec.num_dispatch_threads + self.spec.num_workers
-
-    @property
-    def handler_threads(self) -> List:
-        if self.spec.threading is ThreadingModel.WORKER:
-            return list(self.worker_threads)
-        return list(self.dispatch_threads)
-
-    def alloc_client_flow(self) -> int:
-        flow = self._next_client_flow
-        self._next_client_flow += 1
-        return flow
+        self.cores = cores
+        self._usages = [(core.enable_usage(), core) for core in cores]
+        super().__init__(*args, **kwargs)
 
     def busy_ns(self, now: int) -> float:
         """Exact slot-busy integral of this replica's dedicated cores."""
@@ -202,11 +179,12 @@ class ReplicaPool:
     def name(self) -> str:
         return self.spec.name
 
-    def note_issue(self, index: int) -> None:
+    def note_issue(self, index: int):
+        """Count a call issued to replica ``index``; returns the completion
+        callback that counts it done."""
         self.outstanding[index] += 1
         self.issued[index] += 1
 
-    def make_done_callback(self, index: int):
         def on_done(call):
             self.outstanding[index] -= 1
 
@@ -424,8 +402,7 @@ class ClusterRig:
                 self._machine_cursor = (machine_id + 1) % self.machines
                 return machine_id, start
         demand = sum(
-            -(-pool.replicas[0].num_threads // smt
-              ) * len(pool.replicas) if pool.replicas else 0
+            -(-pool.spec.num_threads // smt) * len(pool.replicas)
             for pool in self.pools.values()
         )
         raise ValueError(
@@ -442,142 +419,53 @@ class ClusterRig:
         # replica must find a contiguous block, so it claims machines
         # before the one-core leaves fragment them. Connection wiring
         # (pass 2) stays in declaration order, so ids are unaffected.
-        def _cores_needed(pool):
-            spec = pool.spec
-            return -(-(spec.num_dispatch_threads + spec.num_workers) // smt)
+        def _cores_needed(spec):
+            return -(-spec.num_threads // smt)
 
         placement_order = sorted(
             self.pools.values(),
-            key=lambda pool: -_cores_needed(pool),
+            key=lambda pool: -_cores_needed(pool.spec),
         )
         for pool in placement_order:
             spec = pool.spec
-            handler_count = (spec.num_workers
-                             if spec.threading is ThreadingModel.WORKER
-                             else spec.num_dispatch_threads)
-            num_flows = (spec.num_dispatch_threads
-                         + handler_count * len(spec.downstream_targets))
             for index in range(pool.deployment.max_replicas):
-                replica = Replica(spec, index, 0)
                 machine_id, start_core = self._place(
-                    replica.num_threads, smt, cores_per_machine
+                    spec.num_threads, smt, cores_per_machine
                 )
-                replica.machine_id = machine_id
                 machine = self.cluster.machines[machine_id]
-                cores_needed = -(-replica.num_threads // smt)
-                replica.cores = [machine.core(start_core + i)
-                                 for i in range(cores_needed)]
-                replica._usages = [(core.enable_usage(), core)
-                                   for core in replica.cores]
-                replica.stack = DaggerStack(
-                    machine, self.switch, replica.address,
-                    hard=NicHardConfig(num_flows=max(1, num_flows),
-                                       rx_ring_entries=256),
-                    soft=NicSoftConfig(
-                        batch_size=spec.batch_size,
-                        auto_batch=spec.auto_batch,
-                        active_flows=spec.num_dispatch_threads,
-                        load_balancer=spec.load_balancer,
-                    ),
-                )
-                server = RpcThreadedServer(self.sim, self.calibration,
-                                           name=replica.address)
-                replica.server = server
-                for method_name, method in spec.methods.items():
-                    server.register_handler(
-                        method_name, self._make_handler(replica, method)
-                    )
-                threads = []
-                for i in range(replica.num_threads):
-                    core = replica.cores[i // smt]
-                    threads.append(machine.thread(
-                        core.core_id, name=f"{replica.address}-t{i}"
-                    ))
-                replica.worker_threads = threads[:spec.num_workers]
-                replica.dispatch_threads = threads[spec.num_workers:]
-                for i, thread in enumerate(replica.dispatch_threads):
-                    server.add_server_thread(
-                        replica.stack.port(i), thread,
-                        model=spec.threading,
-                        workers=(replica.worker_threads
-                                 if spec.threading is ThreadingModel.WORKER
-                                 else None),
-                    )
-                pool.replicas.append(replica)
+                address = f"{spec.name}.{index}"
+                cores = [machine.core(start_core + i)
+                         for i in range(_cores_needed(spec))]
+                threads = [
+                    machine.thread(cores[i // smt].core_id,
+                                   name=f"{address}-t{i}")
+                    for i in range(spec.num_threads)
+                ]
+                pool.replicas.append(Replica(
+                    machine_id, cores, spec, "dagger", machine, self.switch,
+                    address, worker_threads=threads[:spec.num_workers],
+                    dispatch_threads=threads[spec.num_workers:],
+                    rng=self.rng, route=self._route,
+                ))
         # Pass 2: downstream clients — one client per (handler thread,
         # target tier), carrying one connection per target replica over
         # the same ring pair (the SRQ model of section 4.2).
+        copies = {name: pool.replicas for name, pool in self.pools.items()}
         for pool in self.pools.values():
             for replica in pool.replicas:
-                for thread in replica.handler_threads:
-                    per_target: Dict[str, Tuple[RpcClient, List[int]]] = {}
-                    for target in replica.spec.downstream_targets:
-                        flow = replica.alloc_client_flow()
-                        per_target[target] = self._wire_client(
-                            replica.stack, flow, thread,
-                            self.pools[target],
-                            name=f"{replica.address}->{target}",
-                        )
-                    replica.clients[thread] = per_target
+                replica.wire(copies, self._alloc_connection)
         for pool in self.pools.values():
             for replica in pool.replicas:
                 replica.server.start()
 
-    def _wire_client(self, stack: DaggerStack, flow: int, thread,
-                     target_pool: ReplicaPool,
-                     name: str) -> Tuple[RpcClient, List[int]]:
-        """One client on ``flow`` with a connection to every target replica."""
-        conn_ids = []
-        for target_replica in target_pool.replicas:
-            connection_id = self._alloc_connection()
-            connect(stack, flow, target_replica.stack, 0,
-                    connection_id=connection_id)
-            conn_ids.append(connection_id)
-        client = RpcClient(stack.port(flow), thread, conn_ids[0], name=name)
-        for connection_id in conn_ids[1:]:
-            client.add_connection(connection_id)
-        return client, conn_ids
-
-    def _make_handler(self, replica: Replica, method: MethodSpec):
-        """Replica-aware version of ``Microservice.make_handler``: every
-        downstream call is routed to a balancer-picked replica of the
-        target pool over the matching SRQ connection."""
-        rig = self
-
-        def handler(ctx, payload):
-            compute = method.compute.sample_ns()
-            if compute:
-                yield from ctx.exec(compute)
-            request_key = None
-            if method.request_key:
-                request_key = ctx.packet.lb_key
-                if request_key is None:
-                    request_key = rig.rng.getrandbits(32)
-            for stage in method.stages:
-                pending = []
-                for call_spec in stage:
-                    pool = rig.pools[call_spec.target]
-                    client, conn_ids = (
-                        replica.clients[ctx.thread][call_spec.target]
-                    )
-                    target = rig.balancer.pick(pool)
-                    pool.note_issue(target)
-                    call = yield from client.call_async(
-                        call_spec.method,
-                        b"",
-                        sample_size(call_spec.payload_bytes),
-                        lb_key=(request_key if call_spec.use_key else None),
-                        connection_id=conn_ids[target],
-                        callback=pool.make_done_callback(target),
-                    )
-                    pending.append(call)
-                for call in pending:
-                    yield call.event
-            if method.post_compute_ns:
-                ctx.defer(method.post_compute_ns)
-            return b"", sample_size(method.response_bytes)
-
-        return handler
+    def _route(self, replica: Replica, thread, target: str):
+        """Send a nested call to a balancer-picked replica of ``target``
+        over the matching SRQ connection."""
+        pool = self.pools[target]
+        index = self.balancer.pick(pool)
+        return (replica.clients[thread][target],
+                replica.connections[thread][target][index],
+                pool.note_issue(index))
 
     # -- telemetry --------------------------------------------------------------
 
@@ -621,8 +509,8 @@ class ClusterRig:
             for name, pool in pools.items():
                 current = [r.busy_ns(now) for r in pool.replicas]
                 active = pool.active
-                capacity = sum(pool.replicas[i].num_threads
-                               for i in active) * cfg.interval_ns
+                capacity = (pool.spec.num_threads * len(active)
+                            * cfg.interval_ns)
                 delta = sum(current[i] - prev[name][i] for i in active)
                 prev[name] = current
                 utilization = delta / capacity if capacity else 0.0
@@ -696,41 +584,26 @@ class ClusterRig:
 
         sim = self.sim
         loadgen_machine = self.cluster.machines[-1]
-        flows = num_load_threads * len(entry_tiers)
-        loadgen_stack = DaggerStack(
-            loadgen_machine, self.switch, "loadgen",
-            hard=NicHardConfig(num_flows=max(1, flows),
-                               rx_ring_entries=512),
-            soft=NicSoftConfig(batch_size=1, auto_batch=True),
+        loadgen_stack, lanes = deploy_load_generator(
+            "dagger", loadgen_machine, self.switch, num_load_threads,
+            partial(loadgen_machine.threads, start_core=0),
+            {name: self.pools[name].replicas for name in entry_tiers},
+            self._alloc_connection,
         )
-        clients: List[Dict[str, Tuple[RpcClient, List[int]]]] = []
-        threads = loadgen_machine.threads(num_load_threads, start_core=0)
-        next_flow = 0
-        for i in range(num_load_threads):
-            per_tier: Dict[str, Tuple[RpcClient, List[int]]] = {}
-            for tier_name in entry_tiers:
-                per_tier[tier_name] = self._wire_client(
-                    loadgen_stack, next_flow, threads[i],
-                    self.pools[tier_name], name=f"loadgen{i}->{tier_name}",
-                )
-                next_flow += 1
-            clients.append(per_tier)
 
         recorder = LatencyRecorder(warmup_ns=warmup_ns, mode=mode)
         deadline_ns = int(deadline_us * 1000)
         driver = LoadDriver(sim, nreq, [
-            client for per_tier in clients
-            for client, _ in per_tier.values()
+            client for lane in lanes for client, _ in lane.values()
         ])
         slo = {"met": 0, "total": 0}
 
-        def issue(per_tier, arrival, intended):
+        def issue(lane, arrival, intended):
             tier_name, method = entries[arrival.method]
             pool = self.pools[tier_name]
-            client, conn_ids = per_tier[tier_name]
+            client, conn_ids = lane[tier_name]
             target = self.balancer.pick(pool)
-            pool.note_issue(target)
-            done_cb = pool.make_done_callback(target)
+            done_cb = pool.note_issue(target)
 
             def on_complete(call):
                 done_cb(call)
@@ -770,8 +643,8 @@ class ClusterRig:
         # Every lane draws its next arrival from the one shared trace.
         schedule = ((arrival.t_ns, arrival)
                     for arrival in workload.arrivals(nreq))
-        for per_tier in clients:
-            driver.open_lane(schedule, partial(issue, per_tier))
+        for lane in lanes:
+            driver.open_lane(schedule, partial(issue, lane))
         sim.spawn(watchdog())
         if self.autoscaler_config.enabled:
             sim.spawn(self._autoscale(driver.done))
@@ -914,6 +787,8 @@ def run_cluster_point(
             f"unknown modulation {modulation!r} (expected one of "
             f"{MODULATIONS})"
         )
+    if load_krps <= 0:
+        raise ValueError(f"load_krps must be positive, got {load_krps}")
     tiers, entry_tier, mix, payload_bytes, provisioned = CLUSTER_APPS[app]()
     deployments = {
         name: TierDeployment(initial=count, min_replicas=count,

@@ -199,31 +199,20 @@ class EchoRig:
             self.sim, calibration, loopback=loopback, delay_ns=tor_delay_ns
         )
 
-        if stack_name == "dagger":
-            hard = NicHardConfig(
-                num_flows=num_threads,
-                interface=interface,
-                rx_ring_entries=rx_ring_entries,
-                **(hard_overrides or {}),
-            )
-            soft = NicSoftConfig(batch_size=batch_size, auto_batch=auto_batch)
-            self.client_stack = DaggerStack(
-                self.machine, self.switch, "client", hard=hard, soft=soft
-            )
-            server_soft = NicSoftConfig(
-                batch_size=batch_size, auto_batch=auto_batch
-            )
-            self.server_stack = DaggerStack(
-                self.machine, self.switch, "server",
-                hard=hard, soft=server_soft,
-            )
-        else:
-            self.client_stack = make_stack(
-                stack_name, self.machine, self.switch, "client"
-            )
-            self.server_stack = make_stack(
-                stack_name, self.machine, self.switch, "server"
-            )
+        hard = NicHardConfig(
+            num_flows=num_threads,
+            interface=interface,
+            rx_ring_entries=rx_ring_entries,
+            **(hard_overrides or {}),
+        )
+        self.client_stack = make_stack(
+            stack_name, self.machine, self.switch, "client", hard=hard,
+            soft=NicSoftConfig(batch_size=batch_size, auto_batch=auto_batch),
+        )
+        self.server_stack = make_stack(
+            stack_name, self.machine, self.switch, "server", hard=hard,
+            soft=NicSoftConfig(batch_size=batch_size, auto_batch=auto_batch),
+        )
 
         self.server = RpcThreadedServer(self.sim, calibration, name="echo")
         self.server.register_handler(

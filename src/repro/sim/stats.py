@@ -222,6 +222,8 @@ class LatencyRecorder:
     def __init__(self, name: str = "", warmup_ns: int = 0,
                  mode: str = "exact",
                  sketch_accuracy: Optional[float] = None):
+        if warmup_ns < 0:
+            raise ValueError(f"warmup_ns must be >= 0, got {warmup_ns}")
         self.name = name
         self.warmup_ns = warmup_ns
         self.mode = _check_mode(mode)

@@ -199,3 +199,40 @@ def test_build_twice_rejected():
         graph.build()
     with pytest.raises(RuntimeError, match="already built"):
         graph.add_tier(TierSpec(name="late", methods={"m": MethodSpec()}))
+
+
+def test_run_load_rejects_zero_load_threads_by_name():
+    # Used to fail inside the NIC config: "num_flows must be in [1, 512]".
+    graph = two_tier_graph()
+    with pytest.raises(ValueError, match="num_load_threads must be >= 1"):
+        graph.run_load("frontend", {"serve": 1.0}, load_krps=10, nreq=10,
+                       num_load_threads=0)
+
+
+def test_run_load_rejects_zero_nreq_by_name():
+    # Used to fail after the run with "no samples to summarize".
+    graph = two_tier_graph()
+    with pytest.raises(ValueError, match="nreq must be >= 1"):
+        graph.run_load("frontend", {"serve": 1.0}, load_krps=10, nreq=0)
+    assert not graph.tiers  # rejected before anything was built
+
+
+def test_single_sample_run_reports_zero_throughput():
+    # One sample has no measurement window; EchoRig and the cluster
+    # report 0.0 for it, and so does the graph.
+    graph = two_tier_graph()
+    result = graph.run_load("frontend", {"serve": 1.0}, load_krps=10,
+                            nreq=1, warmup_ns=0)
+    assert result.count == 1
+    assert result.throughput_krps == 0.0
+    assert result.p50_us > 0
+
+
+def test_second_run_on_one_graph_rejected_up_front():
+    # Used to fail half-built: "address 'loadgen' already registered".
+    graph = two_tier_graph()
+    graph.run_load("frontend", {"serve": 1.0}, load_krps=10, nreq=20,
+                   warmup_ns=0)
+    with pytest.raises(RuntimeError, match="already ran"):
+        graph.run_load("frontend", {"serve": 1.0}, load_krps=10, nreq=20,
+                       warmup_ns=0)

@@ -305,6 +305,19 @@ def test_cluster_point_validation():
         run_cluster_point(modulation="square")
 
 
+def test_cluster_point_rejects_zero_load_threads_by_name():
+    # Used to return completed 0 and lost 50: nothing issued, yet every
+    # request reported lost.
+    with pytest.raises(ValueError, match="num_load_threads must be >= 1"):
+        run_cluster_point(nreq=50, num_load_threads=0)
+
+
+def test_cluster_point_rejects_nonpositive_load_by_name():
+    # Used to fail as "peak rate must be positive", after the rig was built.
+    with pytest.raises(ValueError, match="load_krps must be positive"):
+        run_cluster_point(nreq=50, load_krps=0.0)
+
+
 def test_flight_cluster_point_runs():
     result = run_cluster_point(app="flight", machines=8, load_krps=5.0,
                                nreq=200, modulation="steady", seed=11)

@@ -61,6 +61,11 @@ def test_recorder_warmup_discards():
     assert recorder.discarded == 1
 
 
+def test_recorder_rejects_negative_warmup():
+    with pytest.raises(ValueError, match="warmup_ns must be >= 0"):
+        LatencyRecorder(warmup_ns=-1)
+
+
 def test_recorder_rejects_time_travel():
     recorder = LatencyRecorder()
     with pytest.raises(ValueError):

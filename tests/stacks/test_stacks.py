@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.nic.config import NicHardConfig
+from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
 from repro.rpc import RpcClient, RpcThreadedServer
@@ -64,6 +64,26 @@ def test_make_stack_unknown():
     switch = ToRSwitch(sim, machine.calibration)
     with pytest.raises(ValueError, match="unknown stack"):
         make_stack("quic", machine, switch, "x")
+
+
+def test_make_stack_describes_every_stack_in_nic_terms():
+    sim = Simulator()
+    machine = Machine(sim)
+    switch = ToRSwitch(sim, machine.calibration)
+    hard = NicHardConfig(num_flows=6)
+    soft = NicSoftConfig(active_flows=2, load_balancer="object-level")
+    modeled = make_stack("linux-tcp", machine, switch, "m", hard=hard,
+                         soft=soft)
+    assert modeled.num_ports == 6  # one port per NIC flow
+    assert modeled.server_ports == [0, 1]  # the active flows
+    assert modeled._balancer.name == "object-level"
+    dagger = make_stack("dagger", machine, switch, "d", hard=hard, soft=soft)
+    assert dagger.nic.hard is hard and dagger.nic.soft is soft
+    # Omitted configs take their defaults: steer across opened ports.
+    default = make_stack("erpc", machine, switch, "e")
+    assert default.num_ports == NicHardConfig().num_flows
+    assert default.server_ports == []
+    assert default._balancer.name == "round-robin"
 
 
 @pytest.mark.parametrize("stack_name", sorted(STACKS))
