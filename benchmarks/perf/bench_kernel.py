@@ -33,15 +33,18 @@ claim is only comparable between trees that produce bit-identical
 simulation results.
 
 With ``--baseline TREE`` (a checkout of an older revision), ``--rounds``
-A/B rounds follow the sections. Each round times three runs on this tree
+A/B rounds follow the sections. Each round times four runs on this tree
 and on that tree, each in a fresh subprocess, alternating which tree goes
-first, so that machine-load drift hits both sides equally. The three runs
+first, so that machine-load drift hits both sides equally. Three runs
 cover the kernel's three run entries: the pump (``run()``), the echo
 (``run_until_done``, through the load driver) and the serial 4-host mesh
 (``run_echo_mesh(hosts=4, shards=1)``, whose in-process windows call
-``run_horizon``). The JSON's ``baseline`` section records both sides'
-medians and the speedup of each run. The baseline must produce the same
-echo and mesh signatures — a speedup is only meaningful between
+``run_horizon``). The fourth is a cluster SLO point
+(``run_cluster_point(modulation="steady", load_krps=40.0, nreq=1000)``),
+which builds the replica pools and runs the tier handler on every nested
+call. The JSON's ``baseline`` section records both sides' medians and the
+speedup of each run. The baseline must produce the same echo, mesh and
+cluster signatures — a speedup is only meaningful between
 bit-identical simulations — unless ``--allow-signature-change`` is passed
 for a deliberate re-baseline PR (one that changes equal-timestamp event
 interleaving, like the zero-yield fast paths); then the baseline's
@@ -75,6 +78,10 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 
 from bench_common import scrub_path  # noqa: E402
+from repro.harness.cluster import (  # noqa: E402
+    cluster_signature,
+    run_cluster_point,
+)
 from repro.harness.mesh import mesh_signature, run_echo_mesh  # noqa: E402
 from repro.harness.runner import run_closed_loop  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
@@ -140,7 +147,10 @@ def mesh_once(shards: int, nreq_per_host: int,
     return time.perf_counter() - started, result
 
 
-_AB_RUNS = ("pump", "echo", "mesh")
+_AB_RUNS = ("pump", "echo", "mesh", "cluster")
+
+#: The A/B gate's cluster SLO point.
+CLUSTER_POINT = dict(modulation="steady", load_krps=40.0, nreq=1000)
 
 
 def ab_once(name: str, nreq: int):
@@ -149,6 +159,10 @@ def ab_once(name: str, nreq: int):
         return pump_once(), None
     if name == "echo":
         return echo_once(nreq)
+    if name == "cluster":
+        started = time.perf_counter()
+        result = run_cluster_point(**CLUSTER_POINT)
+        return time.perf_counter() - started, cluster_signature(result)
     seconds, result = mesh_once(1, MESH_NREQ_PER_HOST)
     return seconds, mesh_signature(result)
 
