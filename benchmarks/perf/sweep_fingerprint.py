@@ -8,9 +8,11 @@ under two interpreters into separate cache directories, fingerprint each,
 and diff the JSON outputs. Any pickle/dict-ordering/float-repr drift
 between 3.9 and 3.12 shows up as a digest mismatch.
 
-The sweep covers the three point families CI exercises elsewhere: a
-closed-loop echo, a telemetry-enabled open-loop point, and a Fig 14
-multi-tenant cell (whose payload round-trips the tenant dimension).
+The sweep covers the point families CI exercises elsewhere: a
+closed-loop echo, a telemetry-enabled open-loop point, a Fig 14
+multi-tenant cell (whose payload round-trips the tenant dimension), and a
+closed-loop echo over a modeled baseline stack (whose cache key covers
+the baseline calibration rows).
 
 Output JSON: ``{"python": "3.12.3", "entries": {<cache key>: <sha256 of
 payload>}, "combined": <sha256 over all entries>}`` — ``python`` is
@@ -46,6 +48,8 @@ def fingerprint_points():
         SweepPoint("repro.harness.experiments:_fig14_point",
                    dict(noisy_mrps=4.0, steady_mrps=0.5, tenants=3,
                         nreq_total=1500)),
+        SweepPoint("repro.harness.runner:run_closed_loop",
+                   dict(stack_name="linux-tcp", nreq=2000)),
     ]
 
 

@@ -271,6 +271,14 @@ def run_kvs_workload(
     or closed loop (``closed_loop_window`` outstanding requests) for the
     peak-throughput and access-latency cells, like the paper's generator.
     """
+    for name, value in (("nreq", nreq), ("num_threads", num_threads),
+                        ("closed_loop_window", closed_loop_window)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value in (("load_mrps", load_mrps),
+                        ("load_factor", load_factor)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     sim = Simulator()
     machine = Machine(sim, MachineConfig(), calibration, seed=seed)
     switch = ToRSwitch(sim, calibration, loopback=True)
@@ -335,10 +343,13 @@ def run_kvs_workload(
     dropped = client_stack.drops + server_stack.drops
     total = recorder.count + recorder.discarded
     misrouted = backend.misrouted if isinstance(backend, MicaServer) else 0
+    stats = recorder.summary()
+    # Throughput needs a measurement window; one sample has none.
+    throughput = recorder.throughput_mrps() if recorder.count >= 2 else 0.0
     return KvsWorkloadResult(
-        throughput_mrps=recorder.throughput_mrps(),
-        p50_us=recorder.summary().p50_us,
-        p99_us=recorder.summary().p99_us,
+        throughput_mrps=throughput,
+        p50_us=stats.p50_us,
+        p99_us=stats.p99_us,
         hit_rate=backend.hit_rate,
         drops=dropped,
         drop_rate=dropped / max(1, total + dropped),

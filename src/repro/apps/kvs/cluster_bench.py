@@ -63,6 +63,11 @@ def run_kvs_multicore(
     seed: int = 13,
 ) -> ClusterKvsResult:
     """Closed-loop saturation of a multi-threaded KVS server."""
+    for name, value in (("server_threads", server_threads),
+                        ("nreq_per_thread", nreq_per_thread),
+                        ("window_per_client", window_per_client)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     sim = Simulator()
     # Enough client machines to saturate the server threads.
     clients_needed = max(server_threads, 2)
@@ -117,11 +122,14 @@ def run_kvs_multicore(
 
     total = recorder.count + recorder.discarded
     drops = server_stack.drops
+    stats = recorder.summary()
+    # Throughput needs a measurement window; one sample has none.
+    throughput = recorder.throughput_mrps() if recorder.count >= 2 else 0.0
     return ClusterKvsResult(
         server_threads=server_threads,
         client_machines=num_client_machines,
-        throughput_mrps=recorder.throughput_mrps(),
-        p50_us=recorder.summary().p50_us,
-        p99_us=recorder.summary().p99_us,
+        throughput_mrps=throughput,
+        p50_us=stats.p50_us,
+        p99_us=stats.p99_us,
         drop_rate=drops / max(1, total + drops),
     )

@@ -103,9 +103,10 @@ class ServiceGraph:
             # Transport is on the NIC; the CPU-visible transport share is 0.
             return (self.calibration.upi_oneway_ns
                     + self.calibration.loopback_delay_ns, 0)
-        from repro.stacks.registry import STACKS
+        from repro.stacks.registry import BASELINES, _check_stack
 
-        params = STACKS[stack_name].params
+        _check_stack(stack_name)
+        params = BASELINES[stack_name]
         return (int(params.oneway_ns * 0.53),
                 int((params.cpu_tx_ns + params.cpu_rx_ns) * 0.48))
 

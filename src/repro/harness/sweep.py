@@ -27,9 +27,10 @@ hit) return bit-identical results. Two mechanisms enforce this:
 Cache entries live under ``benchmarks/results/cache/`` as
 ``<sha256>.json``; the key covers :data:`CACHE_VERSION`, the function
 path, the canonical parameters, and a fingerprint of
-``DEFAULT_CALIBRATION``, so editing the timing model invalidates every
-cached result automatically. Writes are atomic (``tmp + os.replace``) so
-parallel sweeps sharing a cache directory never tear an entry.
+``DEFAULT_CALIBRATION`` and the baseline stacks' ``BASELINES`` rows, so
+editing the timing model invalidates every cached result automatically.
+Writes are atomic (``tmp + os.replace``) so parallel sweeps sharing a
+cache directory never tear an entry.
 """
 
 from __future__ import annotations
@@ -67,14 +68,20 @@ def _canonical(params: Dict[str, Any]) -> str:
 def calibration_fingerprint() -> str:
     """Short digest of the default timing-model constants.
 
-    Part of every cache key: changing any calibrated latency silently
-    changes every simulated result, so it must invalidate the cache.
+    Covers ``DEFAULT_CALIBRATION`` and every baseline stack's row of
+    ``BASELINES``. Part of every cache key: changing any calibrated
+    latency silently changes every simulated result, so it must
+    invalidate the cache.
     """
     from repro.hw.calibration import DEFAULT_CALIBRATION
+    from repro.stacks.registry import BASELINES
 
     values = {
         field.name: getattr(DEFAULT_CALIBRATION, field.name)
         for field in dataclasses.fields(DEFAULT_CALIBRATION)
+    }
+    values["baselines"] = {
+        name: dataclasses.asdict(row) for name, row in BASELINES.items()
     }
     blob = json.dumps(values, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

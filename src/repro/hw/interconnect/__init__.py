@@ -22,5 +22,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "base": ("CpuNicInterface", "TransferMode"),
     "pcie": ("PcieMmioInterface", "PcieDoorbellInterface"),
     "upi": ("UpiInterface",),
-    "ccip": ("CcipMux", "make_interface"),
+    "ccip": ("make_interface",),
 })

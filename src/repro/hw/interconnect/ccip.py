@@ -1,10 +1,10 @@
 """CCI-P: the protocol stack multiplexing UPI and PCIe links to the FPGA.
 
 CCI-P wraps one UPI link and two PCIe links behind a single interface
-(section 4.1). For experiments that instantiate several NIC instances on
-the same FPGA (Fig 14), :class:`CcipMux` hands each NIC an interface bound
-to the shared endpoints, so fair FIFO arbitration between tenants emerges
-at the endpoint resources.
+(section 4.1). :func:`make_interface` binds every interface it builds to
+the FPGA's shared endpoints, so when several NIC instances live on the
+same FPGA (Fig 14), fair FIFO arbitration between tenants emerges at the
+endpoint resources.
 """
 
 from __future__ import annotations
@@ -38,22 +38,3 @@ def make_interface(
                    write_endpoint=fpga.upi_write_endpoint)
     return cls(sim, calibration, fpga.pcie_endpoint,
                write_endpoint=fpga.pcie_write_endpoint)
-
-
-class CcipMux:
-    """Per-FPGA interface factory with shared-endpoint arbitration."""
-
-    def __init__(self, sim: Simulator, calibration: Calibration, fpga: Fpga):
-        self.sim = sim
-        self.calibration = calibration
-        self.fpga = fpga
-        self.issued = []
-
-    def interface(self, kind: str) -> CpuNicInterface:
-        iface = make_interface(kind, self.sim, self.calibration, self.fpga)
-        self.issued.append(iface)
-        return iface
-
-    @property
-    def total_lines(self) -> int:
-        return sum(iface.lines_transferred for iface in self.issued)

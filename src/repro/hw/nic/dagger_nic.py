@@ -27,7 +27,7 @@ from repro.hw.ethernet import (
 from repro.hw.interconnect.base import CpuNicInterface, TransferMode
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.connection_manager import ConnectionManager, ConnectionTuple
-from repro.hw.nic.load_balancer import LoadBalancer, make_balancer
+from repro.hw.nic.load_balancer import make_balancer
 from repro.hw.nic.packet_monitor import PacketMonitor
 from repro.hw.nic.rings import FlowRings
 from repro.hw.nic.rx_path import RxPath
@@ -60,7 +60,6 @@ class DaggerNic:
         address: str,
         hard: Optional[NicHardConfig] = None,
         soft: Optional[NicSoftConfig] = None,
-        balancer: Optional[LoadBalancer] = None,
     ):
         self.sim = sim
         self.calibration = calibration
@@ -78,9 +77,7 @@ class DaggerNic:
             self.hard.connection_cache_entries,
             dram_backed=self.hard.dram_backed_connections,
         )
-        # Custom application-specific balancers (e.g. MICA's object-level
-        # hash) can be injected; otherwise built from the soft config.
-        self.balancer = balancer or make_balancer(self.soft.load_balancer)
+        self.balancer = make_balancer(self.soft.load_balancer)
         self._conn_balancers = {}  # per-connection balancer overrides
         self.flow_rings = [
             FlowRings(

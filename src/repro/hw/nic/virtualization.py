@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.hw.interconnect.ccip import CcipMux
+from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.dagger_nic import DaggerNic
-from repro.hw.nic.load_balancer import LoadBalancer
 from repro.hw.nic.resources import estimate_resources
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
@@ -40,7 +39,6 @@ class VirtualizedFpga:
         self.machine = machine
         self.switch = switch
         self.max_utilization = max_utilization
-        self.mux = CcipMux(machine.sim, machine.calibration, machine.fpga)
         self.nics: Dict[str, DaggerNic] = {}
         #: NIC address -> tenant name (insertion order = display order).
         self._tenant_of: Dict[str, str] = {}
@@ -50,7 +48,6 @@ class VirtualizedFpga:
         address: str,
         hard: Optional[NicHardConfig] = None,
         soft: Optional[NicSoftConfig] = None,
-        balancer: Optional[LoadBalancer] = None,
         tenant: Optional[str] = None,
     ) -> DaggerNic:
         """Instantiate one tenant NIC; checks the FPGA still has room.
@@ -62,7 +59,9 @@ class VirtualizedFpga:
             raise ValueError(f"NIC address {address!r} already in use")
         hard = hard or NicHardConfig()
         self._check_capacity(hard)
-        interface = self.mux.interface(hard.interface)
+        interface = make_interface(hard.interface, self.machine.sim,
+                                   self.machine.calibration,
+                                   self.machine.fpga)
         nic = DaggerNic(
             self.machine.sim,
             self.machine.calibration,
@@ -71,7 +70,6 @@ class VirtualizedFpga:
             address,
             hard=hard,
             soft=soft,
-            balancer=balancer,
         )
         self.machine.fpga.attach_nic(nic)
         self.nics[address] = nic

@@ -7,14 +7,13 @@ over any of them:
 
 - :class:`~repro.stacks.dagger.DaggerStack` — the system under test: the
   full hardware-offloaded RPC stack over the simulated NIC (UPI or PCIe).
-- :class:`~repro.stacks.linux_tcp.LinuxTcpStack` — kernel TCP/IP + software
-  RPC (memcached's native transport).
-- :class:`~repro.stacks.dpdk.DpdkStack` / ``ERpcStack`` — user-space
-  networking: MICA's native DPDK transport and the eRPC baseline.
-- :class:`~repro.stacks.rdma.FasstRdmaStack` — two-sided RDMA datagram RPCs.
-- :class:`~repro.stacks.ix.IxStack` — the IX protected dataplane OS.
-- :class:`~repro.stacks.netdimm.NetDimmStack` — the integrated in-DIMM NIC
+- :class:`~repro.stacks.modeled.ModeledStack` — every baseline, run from
+  its row of :data:`~repro.stacks.registry.BASELINES`: kernel TCP/IP
+  (memcached's native transport), MICA's DPDK transport, eRPC, FaSST's
+  two-sided RDMA, the IX dataplane OS, and the in-DIMM NetDIMM NIC
   (message-level only, as in Table 3).
+
+:func:`~repro.stacks.registry.make_stack` builds either kind by name.
 """
 
 from repro import lazy_exports
@@ -22,11 +21,6 @@ from repro import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "base": ("RpcStack", "StackPort", "connect"),
     "dagger": ("DaggerStack",),
-    "modeled": ("ModeledStack", "ModeledStackParams"),
-    "linux_tcp": ("LinuxTcpStack",),
-    "dpdk": ("DpdkStack", "ERpcStack"),
-    "rdma": ("FasstRdmaStack",),
-    "ix": ("IxStack",),
-    "netdimm": ("NetDimmStack",),
-    "registry": ("STACKS", "make_stack"),
+    "modeled": ("ModeledStack",),
+    "registry": ("BASELINES", "ModeledStackParams", "STACKS", "make_stack"),
 })

@@ -15,7 +15,6 @@ from typing import Dict, Optional
 from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.dagger_nic import DaggerNic
-from repro.hw.nic.load_balancer import LoadBalancer
 from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
 from repro.rpc.messages import RpcPacket
@@ -71,30 +70,24 @@ class DaggerStack(RpcStack):
         address: str,
         hard: Optional[NicHardConfig] = None,
         soft: Optional[NicSoftConfig] = None,
-        balancer: Optional[LoadBalancer] = None,
-        nic: Optional[DaggerNic] = None,
     ):
         self.machine = machine
         self.calibration = machine.calibration
         self.address = address
-        if nic is not None:
-            self.nic = nic
-        else:
-            hard = hard or NicHardConfig()
-            interface = make_interface(
-                hard.interface, machine.sim, machine.calibration, machine.fpga
-            )
-            self.nic = DaggerNic(
-                machine.sim,
-                machine.calibration,
-                interface,
-                switch,
-                address,
-                hard=hard,
-                soft=soft,
-                balancer=balancer,
-            )
-            machine.fpga.attach_nic(self.nic)
+        hard = hard or NicHardConfig()
+        interface = make_interface(
+            hard.interface, machine.sim, machine.calibration, machine.fpga
+        )
+        self.nic = DaggerNic(
+            machine.sim,
+            machine.calibration,
+            interface,
+            switch,
+            address,
+            hard=hard,
+            soft=soft,
+        )
+        machine.fpga.attach_nic(self.nic)
         self._ports: Dict[int, DaggerPort] = {}
 
     @classmethod

@@ -10,6 +10,8 @@ model with three calibrated knobs:
 - a fixed one-way stack latency (sets the unloaded RTT),
 - a per-byte wire cost (matters only for large RPCs).
 
+Each baseline's knobs are one row of
+:data:`~repro.stacks.registry.BASELINES`, which this one class runs.
 Requests still flow through the same :class:`ToRSwitch` and the same RPC
 runtime as Dagger, so queueing, load balancing across server threads, and
 drops behave consistently across stacks.
@@ -17,7 +19,6 @@ drops behave consistently across stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hw.calibration import Calibration
@@ -28,25 +29,7 @@ from repro.rpc.messages import RpcKind, RpcPacket
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Store
 from repro.stacks.base import RpcStack, StackPort
-
-
-@dataclass(frozen=True)
-class ModeledStackParams:
-    """Calibration of one baseline stack."""
-
-    name: str
-    cpu_tx_ns: int  # per-request CPU cost, transmit side
-    cpu_rx_ns: int  # per-request CPU cost, receive side
-    oneway_ns: int  # fixed stack+fabric latency, one direction
-    per_byte_ns: float = 0.08  # wire + copy cost per payload byte
-    rx_ring_entries: int = 256
-    irq_cost_ns: int = 0  # kernel interrupt-side work per received packet
-                          # (runs on IRQ threads when the stack has them)
-
-    def __post_init__(self):
-        for field_name in ("cpu_tx_ns", "cpu_rx_ns", "oneway_ns"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be >= 0")
+from repro.stacks.registry import ModeledStackParams
 
 
 class ModeledPort(StackPort):
@@ -84,8 +67,6 @@ class ModeledPort(StackPort):
 class ModeledStack(RpcStack):
     """Machine-side instance of a calibrated baseline stack."""
 
-    params: ModeledStackParams
-
     def __init__(
         self,
         sim: Simulator,
@@ -96,15 +77,14 @@ class ModeledStack(RpcStack):
         num_ports: int = 64,
         load_balancer: str = "round-robin",
     ):
-        if params is not None:
-            self.params = params
-        if not hasattr(self, "params"):
+        if params is None:
             raise ValueError("ModeledStack requires params")
+        self.params = params
         self.sim = sim
         self.calibration = calibration
         self.switch = switch
         self.address = address
-        self.name = self.params.name
+        self.name = params.name
         self._num_ports = num_ports
         self._ports: Dict[int, ModeledPort] = {}
         self._connections: Dict[int, str] = {}  # conn id -> remote address

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.kvs import run_kvs_workload
 from repro.apps.kvs.client import encode_key, generate_ops, kvs_idl, make_value
+from repro.apps.kvs.cluster_bench import run_kvs_multicore
 
 
 def test_kvs_idl_shapes():
@@ -89,3 +90,45 @@ def test_over_baseline_stack():
                               closed_loop_window=4, warmup_ns=50_000)
     # Kernel networking dominates MICA access latency (the 4-5x gap).
     assert result.p50_us > 25
+
+
+@pytest.mark.parametrize("system, name", [
+    ("mica", "nreq"),
+    ("mica", "num_threads"),
+    ("memcached", "num_threads"),
+    ("mica", "load_mrps"),
+    ("mica", "load_factor"),
+    ("mica", "closed_loop_window"),
+])
+def test_kvs_workload_rejects_zero_argument_by_name(system, name):
+    # Each used to fail inside the run, naming a parameter the caller never
+    # set ("num_partitions", "num_flows", "window"), a throughput sample
+    # count, or nothing at all (ZeroDivisionError).
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        run_kvs_workload(system=system, num_keys=10_000, **{name: 0})
+
+
+def test_kvs_workload_inside_warmup_names_warmup():
+    # Five requests all finish inside the default 300 us warm-up.
+    with pytest.raises(ValueError, match="warmup_ns=300000"):
+        run_kvs_workload(nreq=5, num_keys=10_000)
+
+
+def test_kvs_workload_single_sample_reports_zero_throughput():
+    # One sample has no measurement window; the other rigs report 0.0.
+    result = run_kvs_workload(nreq=1, num_keys=10_000, warmup_ns=0)
+    assert result.throughput_mrps == 0.0
+    assert result.p50_us > 0
+
+
+@pytest.mark.parametrize(
+    "name", ["server_threads", "nreq_per_thread", "window_per_client"])
+def test_kvs_multicore_rejects_zero_argument_by_name(name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        run_kvs_multicore(num_keys=10_000, **{name: 0})
+
+
+def test_kvs_multicore_inside_warmup_names_warmup():
+    # Four requests all finish inside the fixed 150 us warm-up.
+    with pytest.raises(ValueError, match="warmup_ns=150000"):
+        run_kvs_multicore(nreq_per_thread=1, num_keys=10_000)

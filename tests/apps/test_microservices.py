@@ -91,6 +91,12 @@ def test_graph_rejects_unknown_downstream():
         graph.build()
 
 
+def test_graph_rejects_unknown_stack_by_name():
+    # Used to fail with a bare KeyError: 'quic'.
+    with pytest.raises(ValueError, match="unknown stack 'quic'; choose from"):
+        ServiceGraph(stack_name="quic")
+
+
 def test_graph_duplicate_tier():
     graph = ServiceGraph(seed=1)
     graph.add_tier(TierSpec(name="a", methods={"m": MethodSpec()}))

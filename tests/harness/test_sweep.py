@@ -70,6 +70,16 @@ class TestSweepPoint:
         point = SweepPoint(SYNTH, {"scale": 1})
         assert point.cache_key("aaaa") != point.cache_key("bbbb")
 
+    def test_fingerprint_covers_baseline_rows(self, monkeypatch):
+        # A cached baseline point must not survive an edit of its row.
+        from repro.stacks import registry
+
+        before = calibration_fingerprint()
+        row = dataclasses.replace(registry.BASELINES["linux-tcp"],
+                                  oneway_ns=30_000)
+        monkeypatch.setitem(registry.BASELINES, "linux-tcp", row)
+        assert calibration_fingerprint() != before
+
 
 class TestResultCodec:
     def test_bench_result_roundtrip(self):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hw.calibration import DEFAULT_CALIBRATION
 from repro.hw.interconnect import (
-    CcipMux,
     PcieDoorbellInterface,
     PcieMmioInterface,
     TransferMode,
@@ -56,13 +55,12 @@ def test_make_interface_unknown():
         make_interface("infiniband", sim, CAL, machine.fpga)
 
 
-def test_ccip_mux_tracks_interfaces():
+def test_make_interface_binds_shared_endpoints():
+    # Every NIC on one FPGA arbitrates at the same endpoint resources.
     sim = Simulator()
     machine = Machine(sim)
-    mux = CcipMux(sim, CAL, machine.fpga)
-    upi = mux.interface("upi")
-    pcie = mux.interface("pcie-doorbell")
-    assert len(mux.issued) == 2
+    upi = make_interface("upi", sim, CAL, machine.fpga)
+    pcie = make_interface("pcie-doorbell", sim, CAL, machine.fpga)
     assert upi.endpoint is machine.fpga.upi_endpoint
     assert pcie.endpoint is machine.fpga.pcie_endpoint
 

@@ -2,13 +2,18 @@
 
 Draws ``nreq``, ``num_load_threads``, ``load_krps`` and ``warmup_ns`` from
 valid and invalid ranges for a small two-tier ``ServiceGraph.run_load``
-and for ``run_cluster_point``. Every example must do one of two things:
+and for ``run_cluster_point``, and ``nreq``, ``num_threads``,
+``load_mrps``, ``closed_loop_window`` and ``warmup_ns`` for a small
+``run_kvs_workload`` over MICA or memcached. Every example must do one of
+two things:
 
 - raise a ``ValueError`` whose message names an argument the example got
   wrong (a positive warm-up is wrong when the whole run ends inside it);
 - finish with every request accounted for: for the graph, ``count ==
   nreq`` at ``warmup_ns=0`` with no drops; for the cluster, ``completed +
-  lost == nreq``, with the entry tier having handled ``completed``.
+  lost == nreq``, with the entry tier having handled ``completed``; for
+  the KVS workload, no drops, a hit rate in [0, 1], ordered percentiles
+  and a non-negative throughput.
 
 A per-example ``deadline`` fails an example that runs far longer than a
 small point should.
@@ -18,6 +23,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.kvs import run_kvs_workload
 from repro.apps.microservices import CallSpec, MethodSpec, ServiceGraph, TierSpec
 from repro.harness.cluster import run_cluster_point
 from repro.sim.distributions import Constant
@@ -36,12 +42,27 @@ RANGES = {
 }
 
 
+#: ``run_kvs_workload`` argument -> (valid range, invalid range); a
+#: ``closed_loop_window`` of None runs the open loop at ``load_mrps``.
+KVS_RANGES = {
+    "nreq": RANGES["nreq"],
+    "num_threads": (st.integers(min_value=1, max_value=3),
+                    st.integers(min_value=-1, max_value=0)),
+    "load_mrps": (st.floats(min_value=0.2, max_value=4.0),
+                  st.floats(min_value=-5.0, max_value=0.0)),
+    "closed_loop_window": (st.one_of(st.none(),
+                                     st.integers(min_value=1, max_value=8)),
+                           st.integers(min_value=-2, max_value=0)),
+    "warmup_ns": RANGES["warmup_ns"],
+}
+
+
 @st.composite
-def load_arguments(draw):
+def load_arguments(draw, ranges=RANGES):
     """One value per argument; a drawn subset of them is out of range."""
-    broken = draw(st.sets(st.sampled_from(sorted(RANGES)), max_size=2))
+    broken = draw(st.sets(st.sampled_from(sorted(ranges)), max_size=2))
     return {name: draw(invalid if name in broken else valid)
-            for name, (valid, invalid) in RANGES.items()}
+            for name, (valid, invalid) in ranges.items()}
 
 
 def _invalid(nreq, num_load_threads, load_krps, warmup_ns):
@@ -54,9 +75,22 @@ def _invalid(nreq, num_load_threads, load_krps, warmup_ns):
     ) if bad}
 
 
-def _run_or_name(run, args):
+def _kvs_invalid(nreq, num_threads, load_mrps, closed_loop_window,
+                 warmup_ns):
+    """The argument names this ``run_kvs_workload`` example got wrong."""
+    return {name for name, bad in (
+        ("nreq", nreq < 1),
+        ("num_threads", num_threads < 1),
+        ("load_mrps", load_mrps <= 0),
+        ("closed_loop_window",
+         closed_loop_window is not None and closed_loop_window < 1),
+        ("warmup_ns", warmup_ns < 0),
+    ) if bad}
+
+
+def _run_or_name(run, args, oracle=_invalid):
     """Run; returns the result, or None after checking a named rejection."""
-    invalid = _invalid(**args)
+    invalid = oracle(**args)
     warmup_ns = args["warmup_ns"]
     try:
         result = run()
@@ -116,6 +150,20 @@ def test_cluster_point_names_bad_arguments_or_accounts(args):
     assert result["count"] + result["discarded"] == result["completed"]
 
 
+@given(load_arguments(KVS_RANGES), st.sampled_from(("mica", "memcached")))
+@settings(max_examples=60, deadline=1000)
+def test_kvs_workload_names_bad_arguments_or_finishes(args, system):
+    result = _run_or_name(
+        lambda: run_kvs_workload(system=system, num_keys=50_000, **args),
+        args, _kvs_invalid)
+    if result is None:
+        return
+    assert result.drops == 0
+    assert 0.0 <= result.hit_rate <= 1.0
+    assert result.p50_us <= result.p99_us
+    assert result.throughput_mrps >= 0.0
+
+
 def test_invalid_arguments_are_recognised():
     # The oracle itself: zero load threads, zero requests, a non-positive
     # load and a negative warm-up are flagged, and a valid point is not.
@@ -123,6 +171,10 @@ def test_invalid_arguments_are_recognised():
     assert _invalid(0, 2, 10.0, 0) == {"nreq"}
     assert _invalid(1, 2, -1.0, -5) == {"load_krps", "warmup_ns"}
     assert not _invalid(1, 1, 1.0, 0)
+    # For the KVS workload a zero window is wrong; None (open loop) is not.
+    assert _kvs_invalid(10, 1, 1.0, 0, 0) == {"closed_loop_window"}
+    assert _kvs_invalid(10, 0, 0.0, None, 0) == {"num_threads", "load_mrps"}
+    assert not _kvs_invalid(1, 1, 0.2, None, 0)
     args = dict(nreq=0, num_load_threads=1, load_krps=1.0, warmup_ns=0)
     with pytest.raises(AssertionError, match="accepted invalid"):
         _run_or_name(lambda: object(), args)
