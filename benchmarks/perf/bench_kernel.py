@@ -4,7 +4,10 @@ Measures two things and writes ``BENCH_kernel.json`` at the repo root:
 
 - **pump**: a synthetic workload of timer processes that exercises only the
   simulation kernel (heap + now-queue dispatch, timeout pooling, the
-  int-yield fast path) — reported as simulated events per second;
+  int-yield fast path) — reported as simulated events per second. Its
+  **sparse** sub-section staggers a few bursts of short waits between
+  long gaps, so most waits are the next event of the whole simulation and
+  the kernel runs them ahead; it records the share that ran ahead;
 - **echo**: wall-clock time of the tier-1 reference run, a 4k-request
   closed-loop echo benchmark over the full Dagger stack
   (``run_closed_loop(batch_size=4, nreq=4000)``);
@@ -33,13 +36,14 @@ claim is only comparable between trees that produce bit-identical
 simulation results.
 
 With ``--baseline TREE`` (a checkout of an older revision), ``--rounds``
-A/B rounds follow the sections. Each round times four runs on this tree
+A/B rounds follow the sections. Each round times five runs on this tree
 and on that tree, each in a fresh subprocess, alternating which tree goes
 first, so that machine-load drift hits both sides equally. Three runs
 cover the kernel's three run entries: the pump (``run()``), the echo
 (``run_until_done``, through the load driver) and the serial 4-host mesh
 (``run_echo_mesh(hosts=4, shards=1)``, whose in-process windows call
-``run_horizon``). The fourth is a cluster SLO point
+``run_horizon``). The sparse pump times the run-ahead path, which the
+lock-step pump never takes. The fifth is a cluster SLO point
 (``run_cluster_point(modulation="steady", load_krps=40.0, nreq=1000)``),
 which builds the replica pools and runs the tier handler on every nested
 call. The JSON's ``baseline`` section records both sides' medians and the
@@ -90,6 +94,17 @@ from repro.sim.kernel import Simulator  # noqa: E402
 PUMP_PROCS = 50
 PUMP_TICKS = 20_000
 
+#: Sparse pump: SPARSE_PROCS processes, each repeating a burst of
+#: SPARSE_BURST short waits and one long gap, started a quarter gap apart
+#: so that no two bursts overlap. A burst's waits are then the next event
+#: of the whole simulation, the case the kernel runs ahead; the 50
+#: lock-step tickers above never reach it.
+SPARSE_PROCS = 4
+SPARSE_BURST = 24
+SPARSE_STEP_NS = 5
+SPARSE_GAP_NS = 1000
+SPARSE_ROUNDS = 10_000
+
 #: Sharded mesh scenario: 4 hosts, full mesh, timed at these shard counts.
 MESH_HOSTS = 4
 MESH_NREQ_PER_HOST = 4000
@@ -127,6 +142,25 @@ def pump_once() -> float:
     return time.perf_counter() - started
 
 
+def sparse_pump_once():
+    """Run the sparse timer workload; return (wall seconds, events
+    dispatched, simulator)."""
+    sim = Simulator()
+
+    def burster(offset):
+        yield offset
+        for _ in range(SPARSE_ROUNDS):
+            for _ in range(SPARSE_BURST):
+                yield SPARSE_STEP_NS
+            yield SPARSE_GAP_NS
+
+    for i in range(SPARSE_PROCS):
+        sim.spawn(burster(i * SPARSE_GAP_NS // SPARSE_PROCS))
+    started = time.perf_counter()
+    events = sim.run_horizon(None)
+    return time.perf_counter() - started, events, sim
+
+
 def echo_once(nreq: int):
     """Run the reference echo benchmark; return (seconds, signature)."""
     started = time.perf_counter()
@@ -147,7 +181,7 @@ def mesh_once(shards: int, nreq_per_host: int,
     return time.perf_counter() - started, result
 
 
-_AB_RUNS = ("pump", "echo", "mesh", "cluster")
+_AB_RUNS = ("pump", "sparse", "echo", "mesh", "cluster")
 
 #: The A/B gate's cluster SLO point.
 CLUSTER_POINT = dict(modulation="steady", load_krps=40.0, nreq=1000)
@@ -157,6 +191,8 @@ def ab_once(name: str, nreq: int):
     """One A/B run: (seconds, signature); the pump has no signature."""
     if name == "pump":
         return pump_once(), None
+    if name == "sparse":
+        return sparse_pump_once()[0], None
     if name == "echo":
         return echo_once(nreq)
     if name == "cluster":
@@ -387,6 +423,25 @@ def main(argv=None) -> int:
             "best_s": round(min(pump_times), 4),
             "median_events_per_s": round(
                 pump_events / statistics.median(pump_times)),
+        }
+        sparse_pump_once()  # warmup
+        sparse_times = []
+        for _ in range(args.rounds):
+            seconds, sparse_events, sim = sparse_pump_once()
+            sparse_times.append(seconds)
+        sparse_median = statistics.median(sparse_times)
+        report["pump"]["sparse"] = {
+            "procs": SPARSE_PROCS,
+            "burst": SPARSE_BURST,
+            "step_ns": SPARSE_STEP_NS,
+            "gap_ns": SPARSE_GAP_NS,
+            "rounds": SPARSE_ROUNDS,
+            "events": sparse_events,
+            "median_s": round(sparse_median, 4),
+            "best_s": round(min(sparse_times), 4),
+            "median_events_per_s": round(sparse_events / sparse_median),
+            # Share of the events fired in place, with no heap round trip.
+            "run_ahead_share": round(sim._ahead_count / sparse_events, 4),
         }
 
     if "echo" in scenarios:

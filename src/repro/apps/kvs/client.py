@@ -27,6 +27,10 @@ from repro.sim.distributions import make_rng
 from repro.stacks import connect, make_stack
 from repro.workloads.driver import LoadDriver, poisson_schedule
 
+#: First core of ``run_kvs_workload``'s server threads, which fill two SMT
+#: slots per core from here up; the client threads take the cores below.
+SERVER_START_CORE = 6
+
 _KVS_IDL_TEMPLATE = """
 Message GetRequest {{
     char[{key}] key;
@@ -271,7 +275,13 @@ def run_kvs_workload(
     or closed loop (``closed_loop_window`` outstanding requests) for the
     peak-throughput and access-latency cells, like the paper's generator.
     """
-    for name, value in (("nreq", nreq), ("num_threads", num_threads),
+    config = MachineConfig()
+    max_threads = (config.cores - SERVER_START_CORE) * config.smt
+    if not 1 <= num_threads <= max_threads:
+        raise ValueError(f"num_threads must be in [1, {max_threads}] "
+                         f"(server threads start at core {SERVER_START_CORE} "
+                         f"of {config.cores}), got {num_threads}")
+    for name, value in (("nreq", nreq),
                         ("closed_loop_window", closed_loop_window)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -280,7 +290,7 @@ def run_kvs_workload(
         if value is not None and value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
     sim = Simulator()
-    machine = Machine(sim, MachineConfig(), calibration, seed=seed)
+    machine = Machine(sim, config, calibration, seed=seed)
     switch = ToRSwitch(sim, calibration, loopback=True)
     namespace = kvs_idl(key_bytes, value_bytes)
 
@@ -299,7 +309,8 @@ def run_kvs_workload(
     )
     start_kvs_server(sim, calibration, system, namespace, backend,
                      value_bytes, server_stack,
-                     machine.threads(num_threads, start_core=6))
+                     machine.threads(num_threads,
+                                     start_core=SERVER_START_CORE))
 
     client_threads = machine.threads(num_threads, start_core=0)
     if model_llc_contention:

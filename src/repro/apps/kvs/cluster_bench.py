@@ -28,6 +28,7 @@ from repro.apps.kvs.client import (
 from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.cluster import Cluster
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
+from repro.hw.platform import MachineConfig
 from repro.rpc import RpcClient
 from repro.sim import LatencyRecorder, Simulator
 from repro.stacks import DaggerStack, connect
@@ -63,8 +64,14 @@ def run_kvs_multicore(
     seed: int = 13,
 ) -> ClusterKvsResult:
     """Closed-loop saturation of a multi-threaded KVS server."""
-    for name, value in (("server_threads", server_threads),
-                        ("nreq_per_thread", nreq_per_thread),
+    config = MachineConfig()
+    # The server's threads fill two SMT slots per core of its machine.
+    max_threads = config.cores * config.smt
+    if not 1 <= server_threads <= max_threads:
+        raise ValueError(f"server_threads must be in [1, {max_threads}] "
+                         f"({config.cores} cores, {config.smt} threads "
+                         f"each), got {server_threads}")
+    for name, value in (("nreq_per_thread", nreq_per_thread),
                         ("window_per_client", window_per_client)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -74,7 +81,8 @@ def run_kvs_multicore(
     num_client_machines = max(
         1, math.ceil(clients_needed / CLIENT_THREADS_PER_MACHINE)
     )
-    cluster = Cluster(sim, 1 + num_client_machines, calibration, seed=seed)
+    cluster = Cluster(sim, 1 + num_client_machines, calibration, seed=seed,
+                      machine_config=config)
     server_machine = cluster.machine(0)
     namespace = kvs_idl(key_bytes, value_bytes)
 

@@ -1663,7 +1663,7 @@ def _incast_run(overrides: Dict) -> Dict:
         while True:
             pkt = yield ring.get()
             drained.append(pkt)
-            yield sim.timeout(INCAST_DRAIN_NS)
+            yield INCAST_DRAIN_NS
 
     sim.spawn(drainer())
 

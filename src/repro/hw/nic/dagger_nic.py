@@ -25,6 +25,7 @@ from repro.hw.ethernet import (
     EthernetPort,
 )
 from repro.hw.interconnect.base import CpuNicInterface, TransferMode
+from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.connection_manager import ConnectionManager, ConnectionTuple
 from repro.hw.nic.load_balancer import make_balancer
@@ -32,6 +33,7 @@ from repro.hw.nic.packet_monitor import PacketMonitor
 from repro.hw.nic.rings import FlowRings
 from repro.hw.nic.rx_path import RxPath
 from repro.hw.nic.tx_path import TxPath
+from repro.hw.platform import Machine
 from repro.hw.switch import ToRSwitch
 from repro.rpc.messages import HEADER_BYTES, RpcKind, RpcPacket
 from repro.sim.kernel import Simulator
@@ -132,6 +134,23 @@ class DaggerNic:
         self.tx_path.start()
         sim.spawn(self._ingress_unit())
         switch.register(address, self.ingress)
+
+    @classmethod
+    def on_machine(cls, machine: Machine, switch: ToRSwitch, address: str,
+                   hard: Optional[NicHardConfig] = None,
+                   soft: Optional[NicSoftConfig] = None) -> "DaggerNic":
+        """Build a NIC on ``machine``'s FPGA and attach it there.
+
+        The one construction path of a machine's NIC: ``DaggerStack`` and
+        ``VirtualizedFpga.add_nic`` both call it.
+        """
+        hard = hard or NicHardConfig()
+        interface = make_interface(hard.interface, machine.sim,
+                                   machine.calibration, machine.fpga)
+        nic = cls(machine.sim, machine.calibration, interface, switch,
+                  address, hard=hard, soft=soft)
+        machine.fpga.attach_nic(nic)
+        return nic
 
     # -- telemetry -------------------------------------------------------------
 

@@ -98,7 +98,7 @@ class RxPath:
             # latency of an idle flow.
             occupancy = nic.interface.issue_occupancy_ns(lines)
             self.issue_busy_ns += occupancy
-            yield nic.sim.timeout(occupancy)
+            yield occupancy
 
     def _complete_fetch(self, flow_id: int, batch: List[RpcPacket],
                         lines: int) -> Generator:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.dagger_nic import DaggerNic
 from repro.hw.nic.resources import estimate_resources
@@ -59,19 +58,8 @@ class VirtualizedFpga:
             raise ValueError(f"NIC address {address!r} already in use")
         hard = hard or NicHardConfig()
         self._check_capacity(hard)
-        interface = make_interface(hard.interface, self.machine.sim,
-                                   self.machine.calibration,
-                                   self.machine.fpga)
-        nic = DaggerNic(
-            self.machine.sim,
-            self.machine.calibration,
-            interface,
-            self.switch,
-            address,
-            hard=hard,
-            soft=soft,
-        )
-        self.machine.fpga.attach_nic(nic)
+        nic = DaggerNic.on_machine(self.machine, self.switch, address, hard,
+                                   soft)
         self.nics[address] = nic
         self._tenant_of[address] = tenant if tenant is not None else address
         return nic

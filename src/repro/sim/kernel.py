@@ -31,6 +31,15 @@ free lists instead of being reallocated:
 Events created with :meth:`Simulator.event` are *never* pooled — callers
 hold those handles and may inspect ``triggered``/``value`` long after the
 callbacks ran (e.g. completion gates).
+
+Run-ahead: a process's int wait or a :meth:`Simulator.call_after` whose
+event would be the next one the dispatch loop pops fires in place, with
+no heap push or pop, when four conditions hold: the heap head is strictly
+later (an entry at the same time has a smaller sequence number and fires
+first), the now-queue is empty, the time is before the running entry's
+exclusive horizon, and the callback is the only one of the event being
+dispatched. ``step()`` never runs ahead. Events fired in place are
+counted like popped ones, so no result or event count moves.
 """
 
 from __future__ import annotations
@@ -191,15 +200,25 @@ _NEVER = Event(None)
 
 
 def _arm_call(arm: Event) -> None:
-    """First half of :meth:`Simulator.call_after`: schedule the call."""
+    """First half of :meth:`Simulator.call_after`: schedule the call, or
+    run it ahead (see the module docstring) by calling ``fn(arg)`` now."""
     sim = arm.sim
+    call = arm.value
+    delay = call[0]
+    when = sim.now + delay
+    heap = sim._heap
+    if ((not heap or heap[0][0] > when) and not sim._nowq
+            and when < sim._ahead_limit):
+        sim.now = when
+        sim._ahead_count += 1
+        call[1](call[2])
+        return
     fire = sim._control_event()
     fire.callbacks.append(_fire_call)
     fire.triggered = True
-    fire.value = call = arm.value
-    delay = call[0]
+    fire.value = call
     if delay:
-        heappush(sim._heap, (sim.now + delay, sim._seq, fire))
+        heappush(heap, (when, sim._seq, fire))
         sim._seq += 1
     else:
         sim._nowq.append(fire)
@@ -226,7 +245,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_heap", "_nowq", "_seq", "_timeout_free",
-                 "_control_free")
+                 "_control_free", "_ahead_limit", "_ahead_count")
 
     def __init__(self):
         self.now: int = 0
@@ -244,6 +263,10 @@ class Simulator:
         self._seq: int = 0
         self._timeout_free: list = []
         self._control_free: list = []
+        # Run-ahead (see _dispatch): the horizon during a single-callback
+        # dispatch, else 0; and the count of events fired in place.
+        self._ahead_limit = 0
+        self._ahead_count = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -335,7 +358,8 @@ class Simulator:
         Raises :class:`SimulationError` when nothing is scheduled, like the
         kernel's other misuse paths (rather than leaking a bare
         ``IndexError`` from the heap). Events fired through ``step`` are
-        not recycled — only the dispatch loop feeds the pools.
+        not recycled — only the dispatch loop feeds the pools — and never
+        run ahead: the run-ahead limit is 0 outside the dispatch loop.
         """
         if not self._heap and not self._nowq:
             raise SimulationError("no scheduled events")
@@ -371,6 +395,14 @@ class Simulator:
         pool recycling: at one pooled event per timeout/resume cycle, the
         method-call overhead of the factored versions is the single
         largest kernel cost.
+
+        Run-ahead (see the module docstring): ``_ahead_limit`` is the
+        horizon while a single callback runs, and 0 around a
+        multi-callback dispatch and after every exit. The count includes
+        the events run ahead. The cached ``now`` may then lag the clock,
+        which is safe: it is compared only with heap heads, and every heap
+        entry is later than the clock after run-ahead (``inject`` runs
+        between runs).
         """
         heap = self._heap
         nowq = self._nowq
@@ -380,67 +412,78 @@ class Simulator:
         cfree = self._control_free
         now = self.now
         count = 0
+        ahead = self._ahead_count
+        self._ahead_limit = horizon
         # ``while True`` with the gate tested inside, not ``while not
         # gate.triggered``: CPython 3.11 specializes a function's bytecode
         # only once its calls plus unconditional back-edges reach a
         # warm-up count, and this function is called once per run. With
         # a conditional back-edge, a million-event pump in a fresh
         # interpreter ran unspecialized, about 1.5x slower.
-        while True:
-            if gate.triggered:
-                break
-            if nowq:
-                if heap and heap[0][0] <= now:
-                    head = pop(heap)
-                    now = self.now = head[0]
-                    event = head[2]
-                else:
-                    event = popleft()
-            elif heap:
-                when = heap[0][0]
-                if when >= horizon:
+        try:
+            while True:
+                if gate.triggered:
                     break
-                event = pop(heap)[2]
-                now = self.now = when
-            else:
-                break
-            count += 1
-            callbacks = event.callbacks
-            recyclable = event._recyclable
-            if recyclable:
-                # Pooled single-shot event: dispatch without touching the
-                # ``processed`` flag (it is reset here anyway) and refile.
-                try:
-                    [callback] = callbacks
-                except ValueError:
-                    event._run_callbacks()
-                    event.processed = False
+                if nowq:
+                    if heap and heap[0][0] <= now:
+                        head = pop(heap)
+                        now = self.now = head[0]
+                        event = head[2]
+                    else:
+                        event = popleft()
+                elif heap:
+                    when = heap[0][0]
+                    if when >= horizon:
+                        break
+                    event = pop(heap)[2]
+                    now = self.now = when
                 else:
-                    callbacks.clear()
-                    callback(event)
-                    if callbacks:
+                    break
+                count += 1
+                callbacks = event.callbacks
+                recyclable = event._recyclable
+                if recyclable:
+                    # Pooled single-shot event: dispatch without touching
+                    # the ``processed`` flag (it is reset here anyway) and
+                    # refile.
+                    try:
+                        [callback] = callbacks
+                    except ValueError:
+                        self._ahead_limit = 0
+                        event._run_callbacks()
+                        self._ahead_limit = horizon
+                        event.processed = False
+                    else:
                         callbacks.clear()
-                event.triggered = False
-                event.value = None
-                event._exception = None
-                free = tfree if recyclable == _TIMEOUT_POOL else cfree
-                if len(free) < _POOL_CAP:
-                    free.append(event)
-            elif not callbacks:
-                # No waiter, e.g. the exit of a process nobody joins. Test
-                # before the unpack, which would raise and catch here;
-                # _run_callbacks re-raises an unobserved process failure.
-                event._run_callbacks()
-            else:
-                try:
-                    [callback] = callbacks
-                except ValueError:
+                        callback(event)
+                        if callbacks:
+                            callbacks.clear()
+                    event.triggered = False
+                    event.value = None
+                    event._exception = None
+                    free = tfree if recyclable == _TIMEOUT_POOL else cfree
+                    if len(free) < _POOL_CAP:
+                        free.append(event)
+                elif not callbacks:
+                    # No waiter, e.g. the exit of a process nobody joins.
+                    # Test before the unpack, which would raise and catch
+                    # here; _run_callbacks re-raises an unobserved process
+                    # failure.
                     event._run_callbacks()
                 else:
-                    event.processed = True
-                    callbacks.clear()
-                    callback(event)
-        return count
+                    try:
+                        [callback] = callbacks
+                    except ValueError:
+                        self._ahead_limit = 0
+                        event._run_callbacks()
+                        self._ahead_limit = horizon
+                    else:
+                        event.processed = True
+                        callbacks.clear()
+                        callback(event)
+        finally:
+            self._ahead_limit = 0
+        return count + self._ahead_count - ahead
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the heap drains or simulated time passes ``until``.

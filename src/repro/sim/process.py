@@ -21,6 +21,8 @@ resume callback itself is cached (``_resume_bound``) so registering a
 waiter allocates nothing, kernel-pooled control events carry the
 start/wakeup/interrupt scheduling, and finish/schedule steps push straight
 onto the heap or the now-queue, with no scheduling helper in between.
+An int wait that would be the next event popped runs ahead (see
+:mod:`repro.sim.kernel`): the clock moves and the generator resumes at once.
 
 The cached callback is a bound method of the process, so it is also a
 reference cycle (process -> bound method -> process). Every exit path
@@ -130,54 +132,70 @@ class Process(Event):
         self._resume(event)  # throws event._exception (the Interrupt)
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator one step with the fired event's outcome."""
+        """Advance the generator with the fired event's outcome."""
         # _waiting_on is deliberately NOT cleared here: it is rewritten at
         # every new wait below, and its only reader (_deliver_interrupt)
         # guards on ``triggered`` and on membership of our callback, so a
         # stale value between waits is never observed. Skipping the store
         # saves one write per resume on the hottest path in the repo.
         exception = event._exception
-        try:
-            if exception is None:
-                target = self._send(event.value)
-            else:
-                target = self._generator.throw(exception)
-        except StopIteration as stop:
-            self.triggered = True
-            self.value = stop.value
-            self._resume_bound = None
-            # A thrown exception the generator caught before returning has
-            # a traceback through the finished generator frame, which
-            # Python 3.12 links back to this frame: keeping it in a local
-            # here would close a cycle.
-            del exception
-            if self.callbacks:
-                self.sim._nowq.append(self)
-            else:
-                # Nothing waits on this exit: skip its dispatch.
-                self.processed = True
-            return
-        except Exception as exc:  # includes Interrupt
-            self._finish_fail(exc)
-            return
-        if type(target) is int:
+        value = event.value
+        while True:
+            try:
+                if exception is None:
+                    target = self._send(value)
+                else:
+                    target = self._generator.throw(exception)
+            except StopIteration as stop:
+                self.triggered = True
+                self.value = stop.value
+                self._resume_bound = None
+                # A thrown exception the generator caught before returning
+                # has a traceback through the finished generator frame,
+                # which Python 3.12 links back to this frame: keeping it in
+                # a local here would close a cycle.
+                del exception
+                if self.callbacks:
+                    self.sim._nowq.append(self)
+                else:
+                    # Nothing waits on this exit: skip its dispatch.
+                    self.processed = True
+                return
+            except Exception as exc:  # includes Interrupt
+                self._finish_fail(exc)
+                return
+            if type(target) is not int:
+                break
             # Timed-wait fast path: ``yield delay_ns`` is equivalent to
             # ``yield sim.timeout(delay_ns)`` but skips the Timeout object
             # entirely — the resume rides this process's reusable timer
             # event (no pool traffic, no state reset).
             if target < 0:
-                self._finish_fail(
-                    SimulationError(f"negative timeout delay: {target}")
-                )
-                return
+                # Raised at the yield, where ``sim.timeout`` raises it, so
+                # the generator's ``finally`` blocks run.
+                value = None
+                exception = SimulationError(
+                    f"negative timeout delay: {target}")
+                continue
             sim = self.sim
+            when = sim.now + target
+            heap = sim._heap
+            # Run ahead (see repro.sim.kernel) when the timer would be the
+            # next event popped. The heap head is tested first: on a busy
+            # run it fails most often.
+            if ((not heap or heap[0][0] > when) and not sim._nowq
+                    and when < sim._ahead_limit):
+                sim.now = when
+                sim._ahead_count += 1
+                value = exception = None
+                continue
             timer = self._timer
             if timer is None:
                 timer = self._timer = Event(sim)
                 timer.triggered = True
             timer.callbacks.append(self._resume_bound)
             if target:
-                heappush(sim._heap, (sim.now + target, sim._seq, timer))
+                heappush(heap, (when, sim._seq, timer))
                 sim._seq += 1
             else:
                 sim._nowq.append(timer)

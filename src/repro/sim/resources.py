@@ -222,7 +222,7 @@ class Resource:
         grant = yield self.request()
         del grant
         try:
-            yield self.sim.timeout(service_time)
+            yield service_time
         finally:
             self.release()
 

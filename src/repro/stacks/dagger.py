@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.hw.interconnect.ccip import make_interface
 from repro.hw.nic.config import NicHardConfig, NicSoftConfig
 from repro.hw.nic.dagger_nic import DaggerNic
 from repro.hw.platform import Machine
@@ -74,20 +73,7 @@ class DaggerStack(RpcStack):
         self.machine = machine
         self.calibration = machine.calibration
         self.address = address
-        hard = hard or NicHardConfig()
-        interface = make_interface(
-            hard.interface, machine.sim, machine.calibration, machine.fpga
-        )
-        self.nic = DaggerNic(
-            machine.sim,
-            machine.calibration,
-            interface,
-            switch,
-            address,
-            hard=hard,
-            soft=soft,
-        )
-        machine.fpga.attach_nic(self.nic)
+        self.nic = DaggerNic.on_machine(machine, switch, address, hard, soft)
         self._ports: Dict[int, DaggerPort] = {}
 
     @classmethod

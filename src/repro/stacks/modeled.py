@@ -139,9 +139,8 @@ class ModeledStack(RpcStack):
         wire_ns = self.params.oneway_ns + int(
             packet.payload_bytes * self.params.per_byte_ns
         )
-        sim = self.sim
-        sim.call_after(wire_ns, self._propagate, packet)
-        yield sim.timeout(0)
+        self.sim.call_after(wire_ns, self._propagate, packet)
+        yield 0
 
     def _propagate(self, packet: RpcPacket) -> None:
         self.switch.send(packet.dst_address, packet)

@@ -108,6 +108,18 @@ def test_kvs_workload_rejects_zero_argument_by_name(system, name):
         run_kvs_workload(system=system, num_keys=10_000, **{name: 0})
 
 
+@pytest.mark.parametrize("system", ["mica", "memcached"])
+@pytest.mark.parametrize("num_threads", [13, 600])
+def test_kvs_workload_rejects_threads_past_the_machine_by_name(system,
+                                                              num_threads):
+    # Server threads fill two SMT slots per core from core 6 of 12: 13
+    # used to fail with "core 12 out of range" and 600 with "num_flows".
+    with pytest.raises(ValueError,
+                       match=r"num_threads must be in \[1, 12\]"):
+        run_kvs_workload(system=system, num_keys=10_000,
+                         num_threads=num_threads)
+
+
 def test_kvs_workload_inside_warmup_names_warmup():
     # Five requests all finish inside the default 300 us warm-up.
     with pytest.raises(ValueError, match="warmup_ns=300000"):
@@ -126,6 +138,14 @@ def test_kvs_workload_single_sample_reports_zero_throughput():
 def test_kvs_multicore_rejects_zero_argument_by_name(name):
     with pytest.raises(ValueError, match=f"{name} must be"):
         run_kvs_multicore(num_keys=10_000, **{name: 0})
+
+
+@pytest.mark.parametrize("server_threads", [25, 600])
+def test_kvs_multicore_rejects_threads_past_the_machine_by_name(
+        server_threads):
+    with pytest.raises(ValueError,
+                       match=r"server_threads must be in \[1, 24\]"):
+        run_kvs_multicore(num_keys=10_000, server_threads=server_threads)
 
 
 def test_kvs_multicore_inside_warmup_names_warmup():

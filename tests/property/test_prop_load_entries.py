@@ -2,8 +2,9 @@
 
 Draws ``nreq``, ``num_load_threads``, ``load_krps`` and ``warmup_ns`` from
 valid and invalid ranges for a small two-tier ``ServiceGraph.run_load``
-and for ``run_cluster_point``, and ``nreq``, ``num_threads``,
-``load_mrps``, ``closed_loop_window`` and ``warmup_ns`` for a small
+and for ``run_cluster_point``, and ``nreq``, ``num_threads`` (up to
+600, past the machine's 12 server threads), ``load_mrps``,
+``closed_loop_window`` and ``warmup_ns`` for a small
 ``run_kvs_workload`` over MICA or memcached. Every example must do one of
 two things:
 
@@ -20,12 +21,14 @@ small point should.
 """
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.kvs import run_kvs_workload
+from repro.apps.kvs.client import SERVER_START_CORE
 from repro.apps.microservices import CallSpec, MethodSpec, ServiceGraph, TierSpec
 from repro.harness.cluster import run_cluster_point
+from repro.hw.platform import MachineConfig
 from repro.sim.distributions import Constant
 
 #: argument -> (valid range, invalid range)
@@ -42,12 +45,18 @@ RANGES = {
 }
 
 
+#: Server threads ``run_kvs_workload`` can place on the default machine.
+_KVS_MAX_THREADS = ((MachineConfig().cores - SERVER_START_CORE)
+                    * MachineConfig().smt)
+
 #: ``run_kvs_workload`` argument -> (valid range, invalid range); a
 #: ``closed_loop_window`` of None runs the open loop at ``load_mrps``.
 KVS_RANGES = {
     "nreq": RANGES["nreq"],
     "num_threads": (st.integers(min_value=1, max_value=3),
-                    st.integers(min_value=-1, max_value=0)),
+                    st.one_of(st.integers(min_value=-1, max_value=0),
+                              st.integers(min_value=_KVS_MAX_THREADS + 1,
+                                          max_value=600))),
     "load_mrps": (st.floats(min_value=0.2, max_value=4.0),
                   st.floats(min_value=-5.0, max_value=0.0)),
     "closed_loop_window": (st.one_of(st.none(),
@@ -80,7 +89,7 @@ def _kvs_invalid(nreq, num_threads, load_mrps, closed_loop_window,
     """The argument names this ``run_kvs_workload`` example got wrong."""
     return {name for name, bad in (
         ("nreq", nreq < 1),
-        ("num_threads", num_threads < 1),
+        ("num_threads", not 1 <= num_threads <= _KVS_MAX_THREADS),
         ("load_mrps", load_mrps <= 0),
         ("closed_loop_window",
          closed_loop_window is not None and closed_loop_window < 1),
@@ -150,7 +159,15 @@ def test_cluster_point_names_bad_arguments_or_accounts(args):
     assert result["count"] + result["discarded"] == result["completed"]
 
 
+def _kvs_point(num_threads):
+    return dict(nreq=10, num_threads=num_threads, load_mrps=1.0,
+                closed_loop_window=None, warmup_ns=0)
+
+
 @given(load_arguments(KVS_RANGES), st.sampled_from(("mica", "memcached")))
+# One thread past the machine, and more than the NIC has flows.
+@example(_kvs_point(_KVS_MAX_THREADS + 1), "mica")
+@example(_kvs_point(600), "memcached")
 @settings(max_examples=60, deadline=1000)
 def test_kvs_workload_names_bad_arguments_or_finishes(args, system):
     result = _run_or_name(
@@ -174,6 +191,8 @@ def test_invalid_arguments_are_recognised():
     # For the KVS workload a zero window is wrong; None (open loop) is not.
     assert _kvs_invalid(10, 1, 1.0, 0, 0) == {"closed_loop_window"}
     assert _kvs_invalid(10, 0, 0.0, None, 0) == {"num_threads", "load_mrps"}
+    assert _kvs_invalid(10, 13, 1.0, None, 0) == {"num_threads"}
+    assert not _kvs_invalid(10, 12, 1.0, None, 0)
     assert not _kvs_invalid(1, 1, 0.2, None, 0)
     args = dict(nreq=0, num_load_threads=1, load_krps=1.0, warmup_ns=0)
     with pytest.raises(AssertionError, match="accepted invalid"):

@@ -120,10 +120,13 @@ def test_bounded_store_drop_accounting(capacity, count):
 #
 # One generated workload runs under every way of driving the kernel: run(),
 # run(until=...) slices, run_horizon windows, run_until_done and step().
-# Each must dispatch the same (now, who, step) trace. Every workload is
-# built twice, once with each ("after", d) step as sim.call_after(d, fn, x)
-# and once as a spawned ``yield d; fn(x)`` process, and both builds must
-# dispatch that same trace under every entry.
+# Each must dispatch the same (now, who, step) trace as step(), which fires
+# one event per call and never runs ahead (the batch entries fire a
+# process's next timed wait or a call_after in place when it is provably
+# the next event). Every workload is built twice, once with each ("after",
+# d) step as sim.call_after(d, fn, x) and once as a spawned ``yield d;
+# fn(x)`` process, and both builds must dispatch that same trace under
+# every entry.
 
 _SHARED_EVENTS = 3
 _FLOAT_DELAYS = (0.0, 0.5, 1.5, 2.25)
@@ -140,14 +143,42 @@ _STEP = st.one_of(
     st.tuples(st.just("after"), st.sampled_from(_FLOAT_DELAYS)),
 )
 
-_WORKLOAD = st.fixed_dictionaries({
+_FIRE_AT = st.lists(st.integers(min_value=0, max_value=20),
+                    min_size=_SHARED_EVENTS, max_size=_SHARED_EVENTS)
+
+_DENSE = st.fixed_dictionaries({
     # Each process joins only processes spawned before it, and every
     # shared event is fired by an inject, so every process finishes.
     "processes": st.lists(st.lists(_STEP, max_size=6), min_size=1,
                           max_size=5),
-    "fire_at": st.lists(st.integers(min_value=0, max_value=20),
-                        min_size=_SHARED_EVENTS, max_size=_SHARED_EVENTS),
+    "fire_at": _FIRE_AT,
+    "pair_at": st.integers(min_value=0, max_value=20),
 })
+
+#: One process with long gaps, and maybe a short neighbour. Everything
+#: else is over before the first gap ends (injects by 20, a short process
+#: that joins nobody by about 60, the two waiters by 95), so the second
+#: delay is then the only event left and every batch entry must run it
+#: ahead.
+_SPARSE = st.fixed_dictionaries({
+    "processes": st.tuples(
+        st.tuples(
+            st.tuples(st.just("delay"), st.integers(100, 200)),
+            st.tuples(st.just("delay"), st.integers(0, 200)),
+        ),
+        st.lists(st.one_of(
+            st.tuples(st.just("delay"), st.integers(0, 60)),
+            st.tuples(st.just("after"), st.integers(0, 60)),
+            _STEP,
+        ), max_size=6),
+        st.lists(st.lists(_STEP, max_size=6), max_size=1),
+    ).map(lambda t: [list(t[0]) + t[1]] + t[2]),
+    "fire_at": _FIRE_AT,
+    "pair_at": st.integers(min_value=0, max_value=90),
+    "sparse": st.just(True),
+})
+
+_WORKLOAD = st.one_of(_DENSE, _SPARSE)
 
 
 def _build(workload, via_call_after):
@@ -205,38 +236,77 @@ def _build(workload, via_call_after):
         yield 1
         trace.append((sim.now, "orphan", "exit"))
 
+    # Two waiters on one event: one dispatch with two callbacks. The waiter
+    # resumed first yields a delay at once; running it ahead there would
+    # move the clock before the second waiter resumes.
+    pair = sim.event()
+
+    def waiter(name, delays):
+        yield pair
+        for delay in delays:
+            trace.append((sim.now, name, "woke"))
+            yield delay
+        trace.append((sim.now, name, "exit"))
+
     sim.spawn(orphan())
+    sim.spawn(waiter("first", (3, 2)))
+    sim.spawn(waiter("second", ()))
     for index, when in enumerate(workload["fire_at"]):
         sim.inject(when, lambda i=index: fire(i, "inject"))
+    sim.inject(workload["pair_at"], pair.succeed)
     return sim, processes, trace
 
 
 def _cuts(data, times, label):
     """Non-decreasing stop times: ints, floats and event times."""
+    top = int(max(times, default=30))
     candidates = st.one_of(
-        st.integers(min_value=0, max_value=30),
-        st.integers(min_value=0, max_value=30).map(lambda t: t + 0.5),
+        st.integers(min_value=0, max_value=top),
+        st.integers(min_value=0, max_value=top).map(lambda t: t + 0.5),
         st.sampled_from(sorted(set(times)) or [1]),
     )
     return sorted(data.draw(st.lists(candidates, max_size=6), label=label))
 
 
+def _step_through(sim, trace, process):
+    """step() until nothing is scheduled; returns the step count and the
+    (clock, trace length) right after the step at which ``process``
+    exited."""
+    steps, cut = 0, None
+    while sim.peek() is not None:
+        sim.step()
+        steps += 1
+        if cut is None and process.triggered:
+            cut = (sim.now, len(trace))
+    assert sim._ahead_count == 0
+    return steps, cut
+
+
 @given(workload=_WORKLOAD, data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_every_run_entry_dispatches_the_same_trace(workload, data):
+    target = data.draw(st.integers(0, len(workload["processes"]) - 1),
+                       label="run_until_done target")
+    # The reference: step() fires one event per call and never runs ahead.
     sim, processes, expected = _build(workload, via_call_after=False)
-    sim.run()
+    steps, target_cut = _step_through(sim, expected, processes[target])
     times = [now for now, _, _ in expected]
     until_cuts = _cuts(data, times, "until cuts")
     horizons = [h for h in _cuts(data, times, "horizons") if h > 0]
-    target = data.draw(st.integers(0, len(processes) - 1),
-                       label="run_until_done target")
 
     for via_call_after in (False, True):
+        # step(), on both builds.
+        sim, built, trace = _build(workload, via_call_after)
+        assert _step_through(sim, trace, built[target]) == (steps,
+                                                            target_cut)
+        assert trace == expected
+
         # run().
         sim, _, trace = _build(workload, via_call_after)
         sim.run()
         assert trace == expected
+        if workload.get("sparse"):
+            assert sim._ahead_count > 0
 
         # run(until=c) slices, then run().
         sim, _, trace = _build(workload, via_call_after)
@@ -248,7 +318,8 @@ def test_every_run_entry_dispatches_the_same_trace(workload, data):
         sim.run()
         assert trace == expected
 
-        # run_horizon windows, then the drain grant.
+        # run_horizon windows, then the drain grant: they count every
+        # event step() fires, those run ahead included.
         sim, _, trace = _build(workload, via_call_after)
         windows = []
         for horizon in horizons:
@@ -256,21 +327,15 @@ def test_every_run_entry_dispatches_the_same_trace(workload, data):
             assert all(now < horizon for now, _, _ in trace)
         windows.append(sim.run_horizon(None))
         assert trace == expected
+        assert sum(windows) == steps
 
-        # run_until_done(p), then run().
+        # run_until_done(p) stops where step() saw p exit, then run().
         sim, built, trace = _build(workload, via_call_after)
         assert sim.run_until_done(built[target]) == target
+        assert (sim.now, len(trace)) == target_cut
+        assert trace == expected[:target_cut[1]]
         sim.run()
         assert trace == expected
-
-        # step() until nothing is scheduled.
-        sim, _, trace = _build(workload, via_call_after)
-        steps = 0
-        while sim.peek() is not None:
-            sim.step()
-            steps += 1
-        assert trace == expected
-        assert sum(windows) == steps
 
 
 def test_run_until_an_int_leaves_a_float_time_after_it_pending():

@@ -23,6 +23,20 @@ def test_resource_serializes_exclusive_access():
     assert finish_times == [10, 20, 30]
 
 
+def test_use_with_a_negative_service_time_fails_and_releases():
+    # The wait is an int yield; a negative one is raised at that yield,
+    # where ``sim.timeout`` raised it, so the ``finally`` still releases.
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+
+    def worker():
+        yield from resource.use(-5)
+
+    with pytest.raises(SimulationError, match="negative timeout"):
+        sim.run_until_done(sim.spawn(worker()))
+    assert resource.in_use == 0
+
+
 def test_resource_parallel_servers():
     sim = Simulator()
     resource = Resource(sim, capacity=2)
